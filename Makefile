@@ -18,17 +18,22 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Each wire-codec fuzz target runs for FUZZTIME (go test allows one
-# -fuzz pattern per invocation, hence the loop; the pattern is anchored
-# because several f32 names extend an f64 name by suffix).
+# -fuzz pattern per invocation, hence the loop). Each codec target body
+# is generic over the element width and instantiated at float64 and at
+# float32 (the *32 names). Several names extend another by suffix
+# (FuzzDecodeUplink, FuzzDecodeUplinkSign), so the pattern is anchored.
+# FuzzDecodeMessage fuzzes the control-plane message decoder.
 fuzz: build
 	for t in FuzzParseFrameHeader FuzzReadFrame FuzzDecodeParams \
 	         FuzzParamsDeltaRoundTrip FuzzDecodeGradFrame FuzzGradFrameRoundTrip \
 	         FuzzUplinkRoundTrip FuzzDecodeUplink FuzzUplinkQuantRoundTrip \
 	         FuzzDecodeUplinkSign FuzzDecodeUplinkInt8 FuzzDecodeMomentFrame \
 	         FuzzDecodeGradFrame32 FuzzParams32DeltaRoundTrip FuzzDecodeParams32 \
-	         FuzzDecodeUplink32 FuzzUplinkQuant32RoundTrip; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$$$" -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
+	         FuzzDecodeUplink32 FuzzUplinkQuant32RoundTrip FuzzDecodeUplink32Sign \
+	         FuzzDecodeUplink32Int8; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./internal/transport
 
 lint:
 	@fmt_out=$$(gofmt -l .); \

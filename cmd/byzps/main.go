@@ -51,8 +51,7 @@
 // the lossless trajectory. Workers advertise the tiers they support at
 // Hello; the server downgrades to the best mutually supported lossless
 // tier rather than substituting a different lossy one.
-// -no-uplink-delta is a deprecated alias for -uplink raw. -v logs
-// per-round participation and wire-volume stats, and the lifecycle
+// -v logs per-round participation and wire-volume stats, and the lifecycle
 // counters (joins, rejoins, evictions, stale frames retired) print at
 // shutdown.
 //
@@ -72,6 +71,12 @@
 // (phase timings, wire volume, flagged/evicted worker sets) to a file:
 //
 //	byzps ... -metrics-addr 127.0.0.1:9090 -trace-out run.jsonl
+//
+// -precision f32 runs the whole protocol — every plane above, faults,
+// detection, sharding, pipelining and observability included — with
+// float32 gradients, parameters, and frames. The workers learn the
+// precision from the handshake. The MLP (-hidden > 0) has no float32
+// kernels and is refused at f32.
 package main
 
 import (
@@ -90,6 +95,7 @@ import (
 
 	"byzshield"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
 	"byzshield/internal/transport"
@@ -130,9 +136,7 @@ func main() {
 		uplink = flag.String("uplink", "delta",
 			"worker→PS report codec tier: raw, delta (bit-exact XOR compression), sign or int8 (lossy quantization)")
 		precision = flag.String("precision", "f64",
-			"numeric precision tier: f64 (full protocol) or f32 (reduced-precision kernels and frames; softmax only, no faults/detection/pipeline)")
-		noUplinkDelta = flag.Bool("no-uplink-delta", false,
-			"deprecated alias for -uplink raw")
+			"numeric precision of the run: f64 or f32 (float32 kernels and frames; every plane, not the MLP; workers follow the handshake)")
 		shardCount = flag.Int("shards", 0,
 			"aggregation shards: split the parameter vector into N coordinate ranges that vote/aggregate independently (0 or 1 = single loop; bit-identical either way)")
 		pipeline = flag.Bool("pipeline", false,
@@ -166,13 +170,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(2)
-	}
-	if *noUplinkDelta {
-		if *uplink != "delta" {
-			fmt.Fprintln(os.Stderr, "byzps: -no-uplink-delta (deprecated) conflicts with -uplink; drop the deprecated flag")
-			os.Exit(2)
-		}
-		tier = wire.TierRaw
 	}
 
 	workers, err := parseWorkerList(*faultWorkers)
@@ -210,26 +207,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(2)
-	}
-	if prec == wire.PrecisionF32 {
-		switch {
-		case *pipeline:
-			fmt.Fprintln(os.Stderr, "byzps: -pipeline is f64-only (the f32 tier is self-contained per round)")
-			os.Exit(2)
-		case *metricsAddr != "" || *traceOut != "":
-			fmt.Fprintln(os.Stderr, "byzps: -metrics-addr/-trace-out are f64-only")
-			os.Exit(2)
-		}
-		runF32(spec, transport.ServerConfig32{
-			Spec:               spec,
-			Logf:               log.Printf,
-			RoundTimeout:       *roundTimeout,
-			FullBroadcastEvery: *fullEvery,
-			Uplink:             tier,
-			Shards:             *shardCount,
-			Quorum:             *quorum,
-		}, *listen, *verbose)
-		return
 	}
 	srvCfg := transport.ServerConfig{
 		Spec:               spec,
@@ -291,18 +268,42 @@ func main() {
 			}
 		}
 	}
-	srv, err := transport.NewServer(*listen, srvCfg)
+	opts := serveOptions{
+		listen: *listen, metricsAddr: *metricsAddr, registry: registry, tracer: tracer,
+		traceFlush: traceFlush, scheme: *scheme, agg: *agg,
+	}
+	if prec == wire.PrecisionF32 {
+		serve[float32](srvCfg, opts)
+	} else {
+		serve[float64](srvCfg, opts)
+	}
+}
+
+// serveOptions carries the serve lifecycle's settings besides the
+// server config.
+type serveOptions struct {
+	listen, metricsAddr string
+	registry            *obs.Registry
+	tracer              *obs.Tracer
+	traceFlush          func() error
+	scheme, agg         string
+}
+
+// serve runs the parameter server at width F until the run ends, then
+// exits the process with the run's status.
+func serve[F linalg.Float](srvCfg transport.ServerConfig, o serveOptions) {
+	srv, err := transport.NewServerOf[F](o.listen, srvCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(1)
 	}
 	defer srv.Close()
 
-	if *metricsAddr != "" {
-		diag, err := obs.ListenAndServe(*metricsAddr, obs.ServerOptions{
-			Registry: registry,
+	if o.metricsAddr != "" {
+		diag, err := obs.ListenAndServe(o.metricsAddr, obs.ServerOptions{
+			Registry: o.registry,
 			Fleet:    srv.Fleet(),
-			Tracer:   tracer,
+			Tracer:   o.tracer,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "byzps:", err)
@@ -315,8 +316,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("parameter server listening on %s (scheme=%s, aggregator=%s, waiting for workers)",
-		srv.Addr(), *scheme, *agg)
+	log.Printf("parameter server listening on %s (scheme=%s, aggregator=%s, precision=%s, waiting for workers)",
+		srv.Addr(), o.scheme, o.agg, wire.PrecisionOf[F]())
 	final, err := srv.Serve(ctx)
 	// The shutdown summary is a formatted view of the same atomics the
 	// /metrics lifecycle counters read live — one source, two views.
@@ -326,10 +327,10 @@ func main() {
 			c.Joins, c.Rejoins, c.Evictions, c.StaleFrames, c.BlacklistRejections)
 	}
 	closeTrace := func() {
-		if traceFlush == nil {
+		if o.traceFlush == nil {
 			return
 		}
-		if err := traceFlush(); err != nil {
+		if err := o.traceFlush(); err != nil {
 			log.Printf("trace flush: %v", err)
 		}
 	}
@@ -347,44 +348,6 @@ func main() {
 	}
 	logCounters()
 	closeTrace()
-	fmt.Printf("final top-1 test accuracy: %.4f\n", final)
-}
-
-// runF32 drives the float32-precision server: the same listen/serve
-// lifecycle as the f64 path over the reduced-precision engine and
-// frames (this is where -precision f32 lands).
-func runF32(spec transport.Spec, cfg transport.ServerConfig32, listen string, verbose bool) {
-	if verbose {
-		cfg.OnRound = func(rs cluster.RoundStats) {
-			log.Printf("round %d: missing=%v rejoins=%d evictions=%d stale=%d upB=%d (raw %d) downB=%d",
-				rs.Iteration, rs.MissingWorkers, rs.Rejoins, rs.Evictions, rs.StaleFrames,
-				rs.Times.ReportBytes, rs.Times.ReportRawBytes, rs.Times.BroadcastBytes)
-		}
-	}
-	srv, err := transport.NewServer32(listen, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "byzps:", err)
-		os.Exit(1)
-	}
-	defer srv.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	log.Printf("f32 parameter server listening on %s (scheme=%s, aggregator=%s, waiting for workers)",
-		srv.Addr(), spec.Scheme, spec.Aggregator)
-	final, err := srv.Serve(ctx)
-	c := srv.Counters()
-	log.Printf("lifecycle: joins=%d rejoins=%d evictions=%d stale-frames=%d",
-		c.Joins, c.Rejoins, c.Evictions, c.StaleFrames)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			log.Printf("interrupted; %d evaluations recorded", len(srv.History().Points))
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "byzps:", err)
-		os.Exit(1)
-	}
 	fmt.Printf("final top-1 test accuracy: %.4f\n", final)
 }
 

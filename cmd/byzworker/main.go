@@ -23,6 +23,10 @@
 //	byzworker -connect 127.0.0.1:7077 -id 3 -behavior alie -adv-addr 127.0.0.1:7501
 //	byzworker -connect 127.0.0.1:7077 -id 7 -behavior alie -adv-addr 127.0.0.1:7501
 //
+// The numeric precision (f64 or f32) is not a worker flag: the worker
+// offers both and computes at whatever width the server's handshake
+// pins. The byzadv sidecar runs at f64 only.
+//
 // -metrics-addr serves the worker-side mirror of the PS diagnostics:
 // byzworker_* counters (rounds, report bytes, skips, reconnects), the
 // current-round gauge, and /debug/pprof — so a fleet operator can tell
@@ -60,8 +64,6 @@ func main() {
 			"session token (hex, from the first join's log line) to rejoin a run after a process restart")
 		uplinkTiers = flag.String("uplink-tiers", "",
 			"comma-separated report codec tiers to offer the server (raw, delta, sign, int8; empty = all) — restricting the list forces the server to downgrade this connection to a mutually supported lossless tier")
-		precision = flag.String("precision", "f64",
-			"numeric precision tier: f64 (full protocol) or f32 (pair with a byzps -precision f32 server; honest behavior only)")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 		metricsAddr = flag.String("metrics-addr", "",
 			"diagnostics listen address serving /metrics, /healthz and /debug/pprof (empty = disabled)")
@@ -91,24 +93,6 @@ func main() {
 		}
 		token = t
 	}
-	prec, err := wire.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "byzworker:", err)
-		os.Exit(2)
-	}
-	if prec == wire.PrecisionF32 {
-		switch {
-		case *behavior != "honest":
-			fmt.Fprintln(os.Stderr, "byzworker: -behavior is f64-only (the f32 tier has no Byzantine plane)")
-			os.Exit(2)
-		case *advAddr != "":
-			fmt.Fprintln(os.Stderr, "byzworker: -adv-addr is f64-only")
-			os.Exit(2)
-		case *metricsAddr != "":
-			fmt.Fprintln(os.Stderr, "byzworker: -metrics-addr is f64-only")
-			os.Exit(2)
-		}
-	}
 	logf := log.Printf
 	if *quiet {
 		logf = func(string, ...any) {}
@@ -127,26 +111,6 @@ func main() {
 		}
 		defer diag.Close()
 		logf("worker %d: diagnostics on http://%s (/metrics /healthz /debug/pprof)", *id, diag.Addr())
-	}
-
-	if prec == wire.PrecisionF32 {
-		final, err := transport.RunWorker32(ctx, *connect, transport.WorkerConfig32{
-			ID:                *id,
-			ReconnectAttempts: *reconnects,
-			ResumeToken:       token,
-			Tiers:             tiers,
-			Logf:              logf,
-		})
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				log.Printf("worker %d interrupted", *id)
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, "byzworker:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("worker %d done; final accuracy %.4f\n", *id, final)
-		return
 	}
 
 	final, err := transport.RunWorker(ctx, *connect, transport.WorkerConfig{

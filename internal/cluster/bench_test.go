@@ -21,6 +21,7 @@ import (
 	"byzshield/internal/data"
 	"byzshield/internal/detect"
 	"byzshield/internal/distort"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
@@ -30,6 +31,12 @@ import (
 
 // quickstartConfig mirrors examples/quickstart at full scale.
 func quickstartConfig(tb testing.TB) Config {
+	tb.Helper()
+	return quickstartConfigOf[float64](tb)
+}
+
+// quickstartConfigOf is quickstartConfig at element width F.
+func quickstartConfigOf[F linalg.Float](tb testing.TB) ConfigOf[F] {
 	tb.Helper()
 	a, err := assign.MOLS(5, 3)
 	if err != nil {
@@ -46,7 +53,7 @@ func quickstartConfig(tb testing.TB) Config {
 		tb.Fatal(err)
 	}
 	byz := distort.NewAnalyzer(a).WorstCaseByzantines(context.Background(), 3)
-	return Config{
+	return ConfigOf[F]{
 		Assignment: a, Model: m, Train: train, Test: test,
 		BatchSize: 500, Attack: attack.ALIE{}, Byzantines: byz,
 		Aggregator: aggregate.Median{},
@@ -180,42 +187,51 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc budget is pinned in the non-race run")
 	}
-	gate := func(t *testing.T, cfgT Config) {
-		t.Helper()
-		e, err := New(cfgT)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		for i := 0; i < 8; i++ {
-			if _, err := e.RunRound(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(12, func() {
-			if _, err := e.RunRound(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs >= 24 {
-			t.Fatalf("steady-state round allocates %.1f times, budget < 24", allocs)
-		}
-		if allocs > 4 {
-			t.Errorf("steady-state round allocates %.1f times, want ≤ 4 (attacker scratch + sampler prealloc regressed)", allocs)
-		}
-	}
 	t.Run("bare", func(t *testing.T) {
 		cfgT := quickstartConfig(t)
 		cfgT.Parallelism = 1
-		gate(t, cfgT)
+		allocsGate(t, cfgT)
 	})
 	t.Run("instrumented", func(t *testing.T) {
 		cfgT := quickstartConfig(t)
 		cfgT.Parallelism = 1
 		cfgT.Metrics = obs.NewRegistry()
 		cfgT.Tracer = obs.NewTracer(64)
-		gate(t, cfgT)
+		allocsGate(t, cfgT)
 	})
+	t.Run("f32", func(t *testing.T) {
+		cfgT := quickstartConfigOf[float32](t)
+		cfgT.Parallelism = 1
+		allocsGate(t, cfgT)
+	})
+}
+
+// allocsGate pins the steady-state per-round allocation budget of an
+// engine built from cfg.
+func allocsGate[F linalg.Float](t *testing.T, cfg ConfigOf[F]) {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := e.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(12, func() {
+		if _, err := e.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 24 {
+		t.Fatalf("steady-state round allocates %.1f times, budget < 24", allocs)
+	}
+	if allocs > 4 {
+		t.Errorf("steady-state round allocates %.1f times, want ≤ 4 (attacker scratch + sampler prealloc regressed)", allocs)
+	}
+	t.Logf("%.1f allocs/round", allocs)
 }
 
 // BenchmarkVoteMajority isolates the allocation-free small-n vote on a

@@ -28,13 +28,20 @@
 // replica count still meets the quorum are voted over the survivors,
 // files below quorum are dropped from aggregation, and RoundStats
 // reports the missing workers and degraded/dropped file counts.
+//
+// Precision is a type argument: EngineOf[F] runs the identical round at
+// element width F (linalg.Float) — every gradient, parameter, vote,
+// aggregation, and optimizer value at that width — and Engine is its
+// float64 instantiation. The attack oracle and the detection features
+// stay float64: at float64 they read the engine's rows directly, at
+// float32 from widened copies. Only the MLP (no float32 kernels) is
+// rejected at float32.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -46,6 +53,7 @@ import (
 	"byzshield/internal/data"
 	"byzshield/internal/detect"
 	"byzshield/internal/fault"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
@@ -56,13 +64,15 @@ import (
 // ErrClosed is returned by StepOnce after Close.
 var ErrClosed = errors.New("cluster: engine closed")
 
-// Config assembles one training experiment.
-type Config struct {
+// ConfigOf assembles one training experiment at element width F.
+type ConfigOf[F linalg.Float] struct {
 	Assignment *assign.Assignment
-	Model      model.Model
-	Train      *data.Dataset
-	Test       *data.Dataset
-	BatchSize  int
+	// Model computes the gradients; at float32 it must implement
+	// model.Model32.
+	Model     model.Model
+	Train     *data.Dataset
+	Test      *data.Dataset
+	BatchSize int
 	// Distribution switches the batch stream to non-IID sampling: the
 	// distributor splits the training set into F per-file sample pools
 	// once at construction, and each round's batch draws file v's share
@@ -161,7 +171,7 @@ type Config struct {
 	// SignMessages, VoteTolerance, MeasureComm, Fault) must be unset —
 	// in a real deployment those behaviors belong to the workers, not
 	// the PS.
-	Source GradientSource
+	Source GradientSourceOf[F]
 	// Metrics, when non-nil, registers the engine's instruments (round
 	// counter, per-phase latency histograms, file-outcome counters,
 	// arena occupancy, a per-round heap-allocation guard) at
@@ -177,6 +187,9 @@ type Config struct {
 	// steady state too.
 	Tracer *obs.Tracer
 }
+
+// Config is the float64 experiment configuration.
+type Config = ConfigOf[float64]
 
 // PhaseTimes accumulates wall-clock time per protocol phase, plus the
 // exact number of serialized worker→PS bytes (deterministic, unlike the
@@ -258,25 +271,32 @@ type RoundStats struct {
 	Times       PhaseTimes
 }
 
-// Engine executes the protocol.
-type Engine struct {
-	cfg         Config
-	src         GradientSource
-	params      []float64
-	opt         *trainer.SGD
-	sampler     batchSource
-	byzSet      map[int]bool
-	honest      []int // sorted non-Byzantine worker ids
-	corruptible []int // files with ≥ r' Byzantine replicas (static per run)
-	quorum      int   // minimum surviving replicas for a file vote
-	iter        int
-	times       PhaseTimes
-	pool        *pool // nil when Parallelism == 1
-	width       int   // pool width (1 when serial)
-	arena       *roundArena
+// EngineOf executes the protocol at element width F.
+type EngineOf[F linalg.Float] struct {
+	cfg    ConfigOf[F]
+	src    GradientSourceOf[F]
+	params []F
+	opt    *trainer.SGDOf[F]
+	// train and test are the model's width-F kernels bound to the
+	// datasets (narrowed once at construction at float32).
+	train, test *model.Bound[F]
+	// chunk and medianChunk are the configured aggregator's and the
+	// median fallback's width-F coordinate-range kernels (chunk is nil
+	// for rules that are not coordinate-wise).
+	chunk, medianChunk chunkFunc[F]
+	sampler            batchSource
+	byzSet             map[int]bool
+	honest             []int // sorted non-Byzantine worker ids
+	corruptible        []int // files with ≥ r' Byzantine replicas (static per run)
+	quorum             int   // minimum surviving replicas for a file vote
+	iter               int
+	times              PhaseTimes
+	pool               *pool // nil when Parallelism == 1
+	width              int   // pool width (1 when serial)
+	arena              *roundArena[F]
 	// rd is the persistent Round view handed to the source each
 	// iteration (only its files table changes per round).
-	rd Round
+	rd RoundOf[F]
 	// atkRng and atkCtx are the reusable attack-oracle state: the rng
 	// is reseeded per round (identical stream to a freshly constructed
 	// one) and the context struct is updated in place, so the Byzantine
@@ -321,10 +341,34 @@ type Engine struct {
 	closed    bool
 }
 
-// New validates the configuration and initializes the engine, including
-// its gradient arena and worker pool. Callers that create many engines
-// should Close each one to release the pool goroutines.
-func New(cfg Config) (*Engine, error) {
+// Engine is the float64 protocol engine.
+type Engine = EngineOf[float64]
+
+// chunkFunc reduces the rows' coordinate range [lo, hi) into out.
+type chunkFunc[F linalg.Float] func(grads [][]F, out []F, lo, hi int) error
+
+// chunkKernel returns agg's coordinate-range reduction at width F, or
+// nil when agg is not coordinate-wise.
+func chunkKernel[F linalg.Float](agg aggregate.Aggregator) chunkFunc[F] {
+	var k any
+	if linalg.Width[F]() == 8 {
+		if ca, ok := agg.(aggregate.ChunkAggregator); ok {
+			k = ca.AggregateChunk
+		}
+	} else if ca, ok := agg.(aggregate.ChunkAggregator32); ok {
+		k = ca.AggregateChunk32
+	}
+	fn, _ := k.(func([][]F, []F, int, int) error)
+	return fn
+}
+
+// New validates the configuration and initializes the float64 engine.
+func New(cfg Config) (*Engine, error) { return NewEngine(cfg) }
+
+// NewEngine validates the configuration and initializes the engine,
+// including its gradient arena and worker pool. Callers that create
+// many engines should Close each one to release the pool goroutines.
+func NewEngine[F linalg.Float](cfg ConfigOf[F]) (*EngineOf[F], error) {
 	if cfg.Assignment == nil || cfg.Model == nil || cfg.Train == nil || cfg.Test == nil {
 		return nil, fmt.Errorf("cluster: assignment, model, train and test are required")
 	}
@@ -399,18 +443,30 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := trainer.NewSGD(cfg.Schedule, cfg.Momentum, cfg.Model.NumParams())
+	opt, err := trainer.NewSGDOf[F](cfg.Schedule, cfg.Momentum, cfg.Model.NumParams())
 	if err != nil {
 		return nil, err
+	}
+	train, err := model.Bind[F](cfg.Model, cfg.Train)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	test, err := model.Bind[F](cfg.Model, cfg.Test)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	width := cfg.Parallelism
 	if width == 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
+	e := &EngineOf[F]{
 		cfg:          cfg,
-		params:       model.InitParams(cfg.Model, cfg.Seed),
+		params:       model.InitParamsOf[F](cfg.Model, cfg.Seed),
 		opt:          opt,
+		train:        train,
+		test:         test,
+		chunk:        chunkKernel[F](cfg.Aggregator),
+		medianChunk:  chunkKernel[F](aggregate.Median{}),
 		sampler:      sampler,
 		byzSet:       byzSet,
 		quorum:       quorum,
@@ -430,7 +486,7 @@ func New(cfg Config) (*Engine, error) {
 	// A fault model or a live detector can both remove workers mid-run
 	// (faults by plan, detection by blacklist), so either forces the
 	// full-oracle arena: any file's live honest replicas may vanish.
-	e.arena = newRoundArena(cfg.Assignment, cfg.Model.NumParams(), byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
+	e.arena = newRoundArena[F](cfg.Assignment, cfg.Model.NumParams(), byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
 	for u := range e.arena.upEnc {
 		e.arena.upEnc[u].Tier = cfg.UplinkTier
 		e.arena.upDec[u].Tier = cfg.UplinkTier
@@ -438,7 +494,7 @@ func New(cfg Config) (*Engine, error) {
 	if n := wire.ShardCount(cfg.Shards, cfg.Model.NumParams()); n > 1 {
 		e.plane = newShardPlane(n, cfg.Model.NumParams(), cfg.Assignment.F, cfg.Assignment.K)
 	}
-	e.rd = Round{eng: e}
+	e.rd = RoundOf[F]{eng: e}
 	if len(byzSet) > 0 {
 		e.atkRng = rand.New(rand.NewSource(cfg.Seed))
 	}
@@ -451,10 +507,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.src = cfg.Source
 	if e.src == nil {
-		e.src = localSource{e: e}
+		e.src = localSource[F]{e: e}
 	}
 	if cfg.Metrics != nil {
-		e.ins = newEngineInstruments(cfg.Metrics, e)
+		e.ins = newEngineInstruments(cfg.Metrics, e.arena.workerFiles)
 		if e.detSt != nil {
 			e.detSt.SetInstruments(detect.NewInstruments(cfg.Metrics))
 		}
@@ -471,7 +527,7 @@ func New(cfg Config) (*Engine, error) {
 // Close releases the engine's worker pool goroutines. The engine must
 // not be stepped concurrently with Close; StepOnce afterwards returns
 // ErrClosed. Close is idempotent.
-func (e *Engine) Close() error {
+func (e *EngineOf[F]) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed = true
 		if e.pool != nil {
@@ -493,7 +549,7 @@ type batchSource interface {
 // newBatchSource builds the config's batch stream; called identically
 // at construction and on every Restore so a restored engine replays the
 // exact stream of the interrupted run.
-func newBatchSource(cfg *Config) (batchSource, error) {
+func newBatchSource[F linalg.Float](cfg *ConfigOf[F]) (batchSource, error) {
 	if cfg.Distribution == nil {
 		return data.NewBatchSampler(cfg.Train.Len(), cfg.BatchSize, cfg.Seed)
 	}
@@ -508,7 +564,7 @@ func newBatchSource(cfg *Config) (batchSource, error) {
 // calling goroutine for the serial engine, across the persistent pool
 // otherwise. Tasks must be independent, which is also what makes the two
 // execution modes bit-identical.
-func (e *Engine) runPhase(n int, fn func(worker, task int)) {
+func (e *EngineOf[F]) runPhase(n int, fn func(worker, task int)) {
 	if e.pool == nil {
 		for t := 0; t < n; t++ {
 			fn(0, t)
@@ -520,7 +576,7 @@ func (e *Engine) runPhase(n int, fn func(worker, task int)) {
 
 // computeCorruptible returns the files with at least r' Byzantine
 // replicas under the configured Byzantine set.
-func (e *Engine) computeCorruptible() []int {
+func (e *EngineOf[F]) computeCorruptible() []int {
 	a := e.cfg.Assignment
 	rp := a.R/2 + 1
 	var out []int
@@ -539,31 +595,29 @@ func (e *Engine) computeCorruptible() []int {
 }
 
 // CorruptibleFiles returns the files whose votes the Byzantines control.
-func (e *Engine) CorruptibleFiles() []int {
+func (e *EngineOf[F]) CorruptibleFiles() []int {
 	return append([]int(nil), e.corruptible...)
 }
 
 // DistortionFraction returns ε̂ = |corruptible| / f for this run.
-func (e *Engine) DistortionFraction() float64 {
+func (e *EngineOf[F]) DistortionFraction() float64 {
 	return float64(len(e.corruptible)) / float64(e.cfg.Assignment.F)
 }
 
 // Params returns the current model parameters (a copy).
-func (e *Engine) Params() []float64 {
-	out := make([]float64, len(e.params))
-	copy(out, e.params)
-	return out
+func (e *EngineOf[F]) Params() []F {
+	return append([]F(nil), e.params...)
 }
 
 // Times returns accumulated per-phase wall-clock times.
-func (e *Engine) Times() PhaseTimes { return e.times }
+func (e *EngineOf[F]) Times() PhaseTimes { return e.times }
 
 // Iteration returns the next iteration index to execute.
-func (e *Engine) Iteration() int { return e.iter }
+func (e *EngineOf[F]) Iteration() int { return e.iter }
 
 // Snapshot captures the restartable training state (parameters,
 // momentum, iteration) for checkpointing.
-func (e *Engine) Snapshot() (params, velocity []float64, iteration int) {
+func (e *EngineOf[F]) Snapshot() (params, velocity []F, iteration int) {
 	return e.Params(), e.opt.Velocity(), e.iter
 }
 
@@ -572,7 +626,7 @@ func (e *Engine) Snapshot() (params, velocity []float64, iteration int) {
 // engine's seed and fast-forwarded to the snapshot iteration, so a
 // restore into a freshly constructed engine continues the exact sample
 // stream of the interrupted run — no round replay is needed.
-func (e *Engine) Restore(params, velocity []float64, iteration int) error {
+func (e *EngineOf[F]) Restore(params, velocity []F, iteration int) error {
 	if len(params) != len(e.params) {
 		return fmt.Errorf("cluster: restore params length %d, want %d", len(params), len(e.params))
 	}
@@ -609,7 +663,7 @@ func (e *Engine) Restore(params, velocity []float64, iteration int) error {
 // preconditions hold for this run's operand count and worst-case
 // corruption — the applicability constraints the paper runs into
 // ("Bulyan cannot be paired with DETOX for q ≥ 1 ...").
-func (e *Engine) CheckFeasible() error {
+func (e *EngineOf[F]) CheckFeasible() error {
 	ba, ok := e.cfg.Aggregator.(aggregate.ByzAware)
 	if !ok {
 		return nil
@@ -620,7 +674,7 @@ func (e *Engine) CheckFeasible() error {
 }
 
 // RunRound executes one protocol round and returns its statistics.
-func (e *Engine) RunRound() (RoundStats, error) {
+func (e *EngineOf[F]) RunRound() (RoundStats, error) {
 	return e.StepOnce(context.Background())
 }
 
@@ -632,7 +686,7 @@ func (e *Engine) RunRound() (RoundStats, error) {
 // additionally fail mid-collection, e.g. on cancellation while blocked
 // on sockets; such a round is aborted without an optimizer step and the
 // error is surfaced.)
-func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
+func (e *EngineOf[F]) StepOnce(ctx context.Context) (RoundStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
 	}
@@ -735,7 +789,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 			r := e.detSt.Report(u)
 			for _, g := range ar.cur[u] {
 				for i, x := range g {
-					r[i] += x
+					r[i] += float64(x)
 				}
 			}
 		})
@@ -794,22 +848,22 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	// degrade this round to coordinate-wise median instead of erroring —
 	// a long-degraded run keeps training. A configuration that is
 	// infeasible even at full strength still fails loudly.
-	agg := e.cfg.Aggregator
+	agg, chunk := e.cfg.Aggregator, e.chunk
 	aggDegraded := false
 	if ba, ok := agg.(aggregate.ByzAware); ok && len(live) < a.F {
 		c := len(e.corruptible)
 		if ba.Feasible(len(live), c) != nil && ba.Feasible(a.F, c) == nil {
-			agg = aggregate.Median{}
+			agg, chunk = aggregate.Median{}, e.medianChunk
 			aggDegraded = true
 		}
 	}
-	if err := e.aggregate(agg, live); err != nil {
+	if err := e.aggregate(agg, chunk, live); err != nil {
 		return RoundStats{}, fmt.Errorf("cluster: aggregation: %w", err)
 	}
 	if !e.cfg.SignMessages {
 		// Winners are gradient sums over ~batch/f samples; normalize to
 		// per-sample scale for the update (Algorithm 1, line 17).
-		scale := data.PerSampleScale(a.F, e.cfg.BatchSize)
+		scale := F(data.PerSampleScale(a.F, e.cfg.BatchSize))
 		if pl := e.plane; pl != nil {
 			e.runPhase(pl.n, func(_, s int) {
 				for i := pl.ranges[s][0]; i < pl.ranges[s][1]; i++ {
@@ -874,7 +928,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	}
 	e.times.Add(stats.Times)
 	if e.ins != nil {
-		e.ins.observeRound(e, &stats, prepDur, collectDur, voteDur, aggTime, cs.Broadcast)
+		e.ins.observeRound(&stats, prepDur, collectDur, voteDur, aggTime, cs.Broadcast)
 	}
 	if e.tracer != nil {
 		e.recordTrace(&stats, prepDur, collectDur, voteDur, aggTime, cs.Broadcast)
@@ -886,7 +940,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 // recordTrace fills the engine-owned trace scratch from the round's
 // stats and hands it to the tracer. The worker-set slices were
 // preallocated at cap K, so this is alloc-free in steady state.
-func (e *Engine) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal time.Duration, broadcast time.Duration) {
+func (e *EngineOf[F]) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal time.Duration, broadcast time.Duration) {
 	rt := &e.trace
 	rt.Round = stats.Iteration
 	rt.Shards = e.rd.Shards()
@@ -920,7 +974,7 @@ func (e *Engine) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal ti
 // width-w scratch rows, writing the winner and the per-slot
 // degraded/dropped/distorted counters. It is both the pooled vote-phase
 // task body and the sharded plane's per-file fallback (slot 0).
-func (e *Engine) voteFile(w, v int) {
+func (e *EngineOf[F]) voteFile(w, v int) {
 	ar := e.arena
 	repl := ar.replicas[w][:0]
 	workers := ar.replWorkers[w][:0]
@@ -937,11 +991,11 @@ func (e *Engine) voteFile(w, v int) {
 		return
 	}
 	degradedVote := len(repl) < len(ar.fileReplicas[v])
-	var res vote.Result
+	var res vote.ResultOf[F]
 	var vErr error
 	switch {
 	case len(repl) == 1:
-		res = vote.Result{Winner: repl[0], Count: 1, Unanimous: true}
+		res = vote.ResultOf[F]{Winner: repl[0], Count: 1, Unanimous: true}
 	case e.cfg.VoteTolerance > 0:
 		res, vErr = vote.MajorityWithTolerance(repl, e.cfg.VoteTolerance)
 	default:
@@ -984,7 +1038,7 @@ func (e *Engine) voteFile(w, v int) {
 	// true gradients, so it is meaningless (every file would differ)
 	// when a lossy uplink tier quantized the collected replicas.
 	if !e.cfg.SignMessages && !e.cfg.UplinkTier.Lossy() &&
-		ar.trueGrads[v] != nil && !equalBits(res.Winner, ar.trueGrads[v]) {
+		ar.trueGrads[v] != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
 		ar.distorted[w]++
 	}
 }
@@ -994,7 +1048,7 @@ func (e *Engine) voteFile(w, v int) {
 // hands it over for an early broadcast. A preparation failure is
 // deferred to the next StepOnce boundary (the current round is already
 // collected and completes normally). No-op unless PrepareAhead is set.
-func (e *Engine) prepareNext() {
+func (e *EngineOf[F]) prepareNext() {
 	if !e.cfg.PrepareAhead || e.prepErr != nil || e.pendingFiles != nil {
 		return
 	}
@@ -1018,7 +1072,7 @@ func (e *Engine) prepareNext() {
 // copyBatch copies a freshly drawn batch into one of two alternating
 // engine-owned buffers, so a file table partitioned from it survives
 // the sampler's next draw (see the prepBatch field).
-func (e *Engine) copyBatch(batch []int) []int {
+func (e *EngineOf[F]) copyBatch(batch []int) []int {
 	b := &e.prepBatch[e.prepFlip]
 	e.prepFlip ^= 1
 	*b = append((*b)[:0], batch...)
@@ -1031,14 +1085,14 @@ func (e *Engine) copyBatch(batch []int) []int {
 // the strictly best group wins. A reputation tie keeps the vote tied
 // (the caller drops the file). Replica counts are at most R, so the
 // quadratic grouping is trivial.
-func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64, bool) {
+func (e *EngineOf[F]) resolveDegradedTie(repl [][]F, workers []int) ([]F, bool) {
 	best := -1
 	bestRep := 0.0
 	unique := false
 	for i := range repl {
 		dup := false
 		for j := 0; j < i; j++ {
-			if equalBits(repl[j], repl[i]) {
+			if linalg.EqualBits(repl[j], repl[i]) {
 				dup = true
 				break
 			}
@@ -1048,7 +1102,7 @@ func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64,
 		}
 		sum := 0.0
 		for j := i; j < len(repl); j++ {
-			if equalBits(repl[i], repl[j]) {
+			if linalg.EqualBits(repl[i], repl[j]) {
 				sum += e.detSt.Reputation(workers[j])
 			}
 		}
@@ -1068,13 +1122,13 @@ func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64,
 // BlacklistedWorker reports whether the detection layer has blacklisted
 // worker u; always false when detection is off. The TCP server consults
 // this to refuse rejoin tokens of evicted outliers.
-func (e *Engine) BlacklistedWorker(u int) bool {
+func (e *EngineOf[F]) BlacklistedWorker(u int) bool {
 	return e.detSt != nil && e.detSt.Blacklisted(u)
 }
 
 // MeanReputation returns the fleet-wide mean reputation (1 when
 // detection is off).
-func (e *Engine) MeanReputation() float64 {
+func (e *EngineOf[F]) MeanReputation() float64 {
 	if e.detSt == nil {
 		return 1
 	}
@@ -1084,7 +1138,7 @@ func (e *Engine) MeanReputation() float64 {
 // Reputation returns worker u's current reputation score (1 when
 // detection is off). The TCP server mirrors it into the fleet table
 // after every round.
-func (e *Engine) Reputation(u int) float64 {
+func (e *EngineOf[F]) Reputation(u int) float64 {
 	if e.detSt == nil {
 		return 1
 	}
@@ -1095,7 +1149,7 @@ func (e *Engine) Reputation(u int) float64 {
 // metric instruments and is safe to call with metrics disabled (no-op).
 // The TCP server uses it for spans the engine cannot see itself — the
 // asynchronous held-out evaluation.
-func (e *Engine) ObservePhase(p obs.Phase, d time.Duration) {
+func (e *EngineOf[F]) ObservePhase(p obs.Phase, d time.Duration) {
 	if e.ins != nil {
 		e.ins.phase[p].Observe(d.Seconds())
 	}
@@ -1104,11 +1158,12 @@ func (e *Engine) ObservePhase(p obs.Phase, d time.Duration) {
 // aggregate reduces the vote winners into the arena's update vector
 // with the given rule (the configured aggregator, or the median
 // fallback on feasibility-degraded rounds). Coordinate-wise rules
-// (aggregate.ChunkAggregator) reduce in parallel chunks across the
-// pool — bit-identical to a serial pass because every coordinate is
-// reduced independently; other rules run their ordinary Aggregate.
-func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error {
-	ca, ok := agg.(aggregate.ChunkAggregator)
+// (a non-nil chunk kernel) reduce in parallel chunks across the pool —
+// bit-identical to a serial pass because every coordinate is reduced
+// independently; other rules run their ordinary float64 Aggregate
+// (over widened winners at float32).
+func (e *EngineOf[F]) aggregate(agg aggregate.Aggregator, chunk chunkFunc[F], winners [][]F) error {
+	ok := chunk != nil
 	// The sharded plane aggregates along its own coordinate ranges so a
 	// shard's reduce can later move out of process; errors are collected
 	// per shard and surfaced lowest-shard-first.
@@ -1118,7 +1173,7 @@ func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error 
 			pl.aggErr[s] = nil
 		}
 		e.runPhase(pl.n, func(_, s int) {
-			pl.aggErr[s] = ca.AggregateChunk(winners, e.arena.update, pl.ranges[s][0], pl.ranges[s][1])
+			pl.aggErr[s] = chunk(winners, e.arena.update, pl.ranges[s][0], pl.ranges[s][1])
 		})
 		for s := 0; s < pl.n; s++ {
 			if pl.aggErr[s] != nil {
@@ -1129,13 +1184,15 @@ func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error 
 	}
 	if !ok || e.pool == nil {
 		if ok {
-			return ca.AggregateChunk(winners, e.arena.update, 0, e.arena.dim)
+			return chunk(winners, e.arena.update, 0, e.arena.dim)
 		}
-		update, err := agg.Aggregate(winners)
+		update, err := agg.Aggregate(widen(winners, &e.arena.wide))
 		if err != nil {
 			return err
 		}
-		copy(e.arena.update, update)
+		for i, v := range update {
+			e.arena.update[i] = F(v)
+		}
 		return nil
 	}
 	dim := e.arena.dim
@@ -1163,7 +1220,7 @@ func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error 
 		if lo >= hi {
 			return
 		}
-		errs[c] = ca.AggregateChunk(winners, e.arena.update, lo, hi)
+		errs[c] = chunk(winners, e.arena.update, lo, hi)
 	})
 	for c := 0; c < chunks; c++ {
 		if errs[c] != nil {
@@ -1178,7 +1235,7 @@ func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error 
 // the end. The returned history contains one point per evaluation; on
 // cancellation the partial history recorded so far is returned together
 // with the context error.
-func (e *Engine) Run(ctx context.Context, iterations, evalEvery int) (*trainer.History, error) {
+func (e *EngineOf[F]) Run(ctx context.Context, iterations, evalEvery int) (*trainer.History, error) {
 	var h trainer.History
 	if iterations < 1 {
 		return &h, fmt.Errorf("cluster: iterations %d < 1", iterations)
@@ -1198,13 +1255,13 @@ func (e *Engine) Run(ctx context.Context, iterations, evalEvery int) (*trainer.H
 }
 
 // Evaluate returns the current test accuracy.
-func (e *Engine) Evaluate() float64 {
+func (e *EngineOf[F]) Evaluate() float64 {
 	return e.EvaluateParams(e.params)
 }
 
 // EvalLoss returns the current training loss on the deterministic probe
 // subset used for history reporting.
-func (e *Engine) EvalLoss() float64 {
+func (e *EngineOf[F]) EvalLoss() float64 {
 	return e.EvalLossParams(e.params)
 }
 
@@ -1212,14 +1269,14 @@ func (e *Engine) EvalLoss() float64 {
 // vector. Safe to call from a goroutine concurrent with StepOnce when
 // params is a caller-owned snapshot (the TCP server evaluates off the
 // serve loop this way so workers don't idle between rounds).
-func (e *Engine) EvaluateParams(params []float64) float64 {
-	return model.Accuracy(e.cfg.Model, params, e.cfg.Test)
+func (e *EngineOf[F]) EvaluateParams(params []F) float64 {
+	return e.test.Accuracy(params)
 }
 
 // EvalLossParams returns the probe-subset training loss of an arbitrary
 // parameter vector; the same concurrency contract as EvaluateParams.
-func (e *Engine) EvalLossParams(params []float64) float64 {
-	return e.cfg.Model.Loss(params, e.cfg.Train, e.arena.probe)
+func (e *EngineOf[F]) EvalLossParams(params []F) float64 {
+	return e.train.Loss(params, e.arena.probe)
 }
 
 // quantizeUplink applies the configured lossy uplink tier's exact
@@ -1230,10 +1287,10 @@ func (e *Engine) EvalLossParams(params []float64) float64 {
 // the wire's framing for the engine to reproduce a TCP run bit for
 // bit. Not idempotent in floating point: callers apply it exactly once
 // per distinct buffer.
-func (e *Engine) quantizeUplink(g []float64) {
-	quant := wire.SignQuantizeInPlace
+func (e *EngineOf[F]) quantizeUplink(g []F) {
+	quant := wire.SignQuantizeInPlace[F]
 	if e.cfg.UplinkTier == wire.TierInt8 {
-		quant = wire.Int8QuantizeInPlace
+		quant = wire.Int8QuantizeInPlace[F]
 	}
 	if pl := e.plane; pl != nil {
 		for s := 0; s < pl.n; s++ {
@@ -1245,7 +1302,7 @@ func (e *Engine) quantizeUplink(g []float64) {
 }
 
 // signInPlace maps a vector to coordinate signs in {−1, 0, 1}.
-func signInPlace(g []float64) {
+func signInPlace[F linalg.Float](g []F) {
 	for i, v := range g {
 		switch {
 		case v > 0:
@@ -1258,16 +1315,40 @@ func signInPlace(g []float64) {
 	}
 }
 
-// equalBits compares vectors by IEEE-754 bit patterns, matching the
-// exact-vote equality semantics.
-func equalBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// widen returns rows as float64 rows for the float64-only planes
+// (attack oracle, non-coordinate-wise aggregators): rows itself at
+// F = float64 — no copy — and widened copies in *scratch otherwise.
+func widen[F linalg.Float](rows [][]F, scratch *[][]float64) [][]float64 {
+	if r, ok := any(rows).([][]float64); ok {
+		return r
 	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
+	out := *scratch
+	if cap(out) < len(rows) {
+		out = make([][]float64, len(rows))
+	}
+	out = out[:len(rows)]
+	for i, row := range rows {
+		if cap(out[i]) < len(row) {
+			out[i] = make([]float64, len(row))
 		}
+		w := out[i][:len(row)]
+		for j, v := range row {
+			w[j] = float64(v)
+		}
+		out[i] = w
 	}
-	return true
+	*scratch = out
+	return out
+}
+
+// narrow returns v at width F: v itself at F = float64, otherwise v
+// narrowed into dst (which must have v's length).
+func narrow[F linalg.Float](dst []F, v []float64) []F {
+	if r, ok := any(v).([]F); ok {
+		return r
+	}
+	for i, x := range v {
+		dst[i] = F(x)
+	}
+	return dst
 }

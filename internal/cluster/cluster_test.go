@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"byzshield/internal/aggregate"
@@ -10,13 +11,21 @@ import (
 	"byzshield/internal/data"
 	"byzshield/internal/distort"
 	"byzshield/internal/fault"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/trainer"
+	"byzshield/internal/wire"
 )
 
 // testSetup builds a small but realistic experiment: MOLS(5,3) → K=15
 // workers, 25 files; softmax model on a separable synthetic dataset.
 func testSetup(t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggregator) Config {
+	t.Helper()
+	return testSetupOf[float64](t, byz, atk, agg)
+}
+
+// testSetupOf is testSetup at element width F.
+func testSetupOf[F linalg.Float](t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggregator) ConfigOf[F] {
 	t.Helper()
 	a, err := assign.MOLS(5, 3)
 	if err != nil {
@@ -32,7 +41,7 @@ func testSetup(t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggrega
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
+	return ConfigOf[F]{
 		Assignment: a,
 		Model:      m,
 		Train:      train,
@@ -47,32 +56,61 @@ func testSetup(t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggrega
 	}
 }
 
-func TestEngineValidation(t *testing.T) {
-	cfg := testSetup(t, nil, attack.Benign{}, aggregate.Median{})
+func TestEngineValidation(t *testing.T) { testEngineValidation[float64](t) }
+
+// TestEngine32Validation runs the constructor checks at float32, where
+// the MLP (no float32 kernels) is additionally rejected.
+func TestEngine32Validation(t *testing.T) {
+	testEngineValidation[float32](t)
+	cfg := testSetupOf[float32](t, nil, attack.Benign{}, aggregate.Median{})
+	mlp, err := model.NewMLP(12, 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Model = mlp
+	if _, err := NewEngine(cfg); err == nil {
+		t.Error("MLP accepted at float32")
+	}
+}
+
+// testEngineValidation exercises the constructor's rejections at width F.
+func testEngineValidation[F linalg.Float](t *testing.T) {
+	cfg := testSetupOf[F](t, nil, attack.Benign{}, aggregate.Median{})
 	bad := cfg
 	bad.Aggregator = nil
-	if _, err := New(bad); err == nil {
+	if _, err := NewEngine(bad); err == nil {
 		t.Error("nil aggregator accepted")
 	}
 	bad = cfg
 	bad.BatchSize = 10 // < 25 files
-	if _, err := New(bad); err == nil {
+	if _, err := NewEngine(bad); err == nil {
 		t.Error("batch < files accepted")
 	}
 	bad = cfg
 	bad.Byzantines = []int{99}
-	if _, err := New(bad); err == nil {
+	if _, err := NewEngine(bad); err == nil {
 		t.Error("out-of-range byzantine accepted")
 	}
 	bad = cfg
 	bad.Byzantines = []int{1, 1}
-	if _, err := New(bad); err == nil {
+	if _, err := NewEngine(bad); err == nil {
 		t.Error("duplicate byzantine accepted")
 	}
 	bad = cfg
 	bad.Model = nil
-	if _, err := New(bad); err == nil {
+	if _, err := NewEngine(bad); err == nil {
 		t.Error("nil model accepted")
+	}
+	bad = cfg
+	bad.Quorum = 99
+	if _, err := NewEngine(bad); err == nil {
+		t.Error("quorum > R accepted")
+	}
+	bad = cfg
+	bad.UplinkTier = wire.TierSign
+	bad.Source = localSource[F]{}
+	if _, err := NewEngine(bad); err == nil {
+		t.Error("lossy tier with external source accepted")
 	}
 }
 
@@ -522,5 +560,173 @@ func TestDegradedTieDropsFileInsteadOfElectingByzantine(t *testing.T) {
 	}
 	if want := cfg.Assignment.L - 1; stats.DegradedFiles != want {
 		t.Errorf("degraded %d files, want %d", stats.DegradedFiles, want)
+	}
+}
+
+// runOf steps a width-F engine for rounds and returns the final
+// parameters.
+func runOf[F linalg.Float](t *testing.T, cfg ConfigOf[F], rounds int) []F {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < rounds; i++ {
+		if _, err := e.StepOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e.Params()
+}
+
+func TestEngineSerialPooledShardedIdentical(t *testing.T) {
+	testSerialPooledShardedIdentical[float64](t)
+}
+
+func TestEngine32SerialPooledShardedIdentical(t *testing.T) {
+	testSerialPooledShardedIdentical[float32](t)
+}
+
+// testSerialPooledShardedIdentical pins the bit-identity discipline at
+// width F: the serial engine, the pooled engine, the sharded engine,
+// and prepare-ahead all produce the same parameter bits.
+func testSerialPooledShardedIdentical[F linalg.Float](t *testing.T) {
+	base := testSetupOf[F](t, nil, nil, aggregate.Median{})
+	base.Parallelism = 1
+	serial := runOf(t, base, 8)
+
+	variants := map[string]func(*ConfigOf[F]){
+		"pooled":       func(c *ConfigOf[F]) { c.Parallelism = 4 },
+		"sharded":      func(c *ConfigOf[F]) { c.Parallelism = 4; c.Shards = 5 },
+		"prepareAhead": func(c *ConfigOf[F]) { c.Parallelism = 2; c.PrepareAhead = true },
+	}
+	for name, mutate := range variants {
+		cfg := testSetupOf[F](t, nil, nil, aggregate.Median{})
+		mutate(&cfg)
+		if got := runOf(t, cfg, 8); !linalg.EqualBits(serial, got) {
+			t.Errorf("%s engine diverged from serial", name)
+		}
+	}
+}
+
+func TestEngineLossyTierMatchesWireQuant(t *testing.T) {
+	testLossyTierMatchesWireQuant[float64](t)
+}
+
+func TestEngine32LossyTierMatchesWireQuant(t *testing.T) {
+	testLossyTierMatchesWireQuant[float32](t)
+}
+
+// testLossyTierMatchesWireQuant checks a lossy run at width F differs
+// from the lossless run (the quantization is real) while remaining
+// bit-deterministic across pool widths at a fixed shard count (the
+// quantization granularity is per (file, shard range), so only runs
+// with equal shard counts are comparable).
+func testLossyTierMatchesWireQuant[F linalg.Float](t *testing.T) {
+	for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
+		base := testSetupOf[F](t, nil, nil, aggregate.Median{})
+		base.UplinkTier = tier
+		base.Parallelism = 1
+		base.Shards = 3
+		serial := runOf(t, base, 5)
+
+		pooled := base
+		pooled.Parallelism = 4
+		if got := runOf(t, pooled, 5); !linalg.EqualBits(serial, got) {
+			t.Errorf("tier %s: pooled lossy run diverged from serial at equal shard count", tier)
+		}
+
+		lossless := base
+		lossless.UplinkTier = wire.TierDelta
+		if got := runOf(t, lossless, 5); linalg.EqualBits(serial, got) {
+			t.Errorf("tier %s: lossy run identical to lossless (quantization not applied)", tier)
+		}
+	}
+}
+
+// TestEngine32TracksF64 checks the two precision instantiations of the
+// same experiment stay numerically close over a short run and both
+// train.
+func TestEngine32TracksF64(t *testing.T) {
+	cfg32 := testSetupOf[float32](t, nil, nil, aggregate.Median{})
+	cfg32.Parallelism = 2
+	e32, err := NewEngine(cfg32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e32.Close()
+
+	cfg64 := testSetup(t, nil, nil, aggregate.Median{})
+	cfg64.Parallelism = 2
+	e64, err := New(cfg64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e64.Close()
+
+	for i := 0; i < 10; i++ {
+		if _, err := e32.StepOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e64.StepOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p32, p64 := e32.Params(), e64.Params()
+	var scale float64
+	for _, v := range p64 {
+		if a := math.Abs(v); a > scale {
+			scale = a
+		}
+	}
+	for i := range p64 {
+		if diff := math.Abs(p64[i] - float64(p32[i])); diff > 1e-3*(math.Abs(p64[i])+scale) {
+			t.Fatalf("param %d: f64=%v f32=%v", i, p64[i], p32[i])
+		}
+	}
+	if acc := e32.Evaluate(); acc < 0.5 {
+		t.Errorf("f32 accuracy %v after 10 rounds on separable data", acc)
+	}
+}
+
+func TestEngineNonIID(t *testing.T)   { testNonIID[float64](t) }
+func TestEngine32NonIID(t *testing.T) { testNonIID[float32](t) }
+
+// testNonIID checks the Dirichlet distribution knob drives the engine
+// at width F and stays deterministic across pool widths.
+func testNonIID[F linalg.Float](t *testing.T) {
+	cfg := testSetupOf[F](t, nil, nil, aggregate.Median{})
+	cfg.Distribution = &data.Dirichlet{Alpha: 0.2, Seed: 9}
+	a := runOf(t, cfg, 4)
+	cfg.Parallelism = 4
+	if b := runOf(t, cfg, 4); !linalg.EqualBits(a, b) {
+		t.Fatal("non-IID run not deterministic across widths")
+	}
+	iid := testSetupOf[F](t, nil, nil, aggregate.Median{})
+	if c := runOf(t, iid, 4); linalg.EqualBits(a, c) {
+		t.Fatal("Dirichlet split did not change the sample stream")
+	}
+}
+
+func TestEngineRunHistory(t *testing.T)   { testRunHistory[float64](t) }
+func TestEngine32RunHistory(t *testing.T) { testRunHistory[float32](t) }
+
+// testRunHistory drives Run end to end at width F.
+func testRunHistory[F linalg.Float](t *testing.T) {
+	e, err := NewEngine(testSetupOf[F](t, nil, nil, aggregate.Median{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h, err := e.Run(context.Background(), 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Points) != 2 {
+		t.Fatalf("want 2 eval points, got %d", len(h.Points))
+	}
+	if e.Iteration() != 6 {
+		t.Fatalf("iteration %d after 6 rounds", e.Iteration())
 	}
 }

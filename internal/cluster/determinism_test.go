@@ -6,6 +6,7 @@ import (
 
 	"byzshield/internal/aggregate"
 	"byzshield/internal/attack"
+	"byzshield/internal/linalg"
 	"byzshield/internal/registry"
 )
 
@@ -25,18 +26,29 @@ var aggParams = map[string]registry.AggregatorParams{
 // 20 rounds of the same seeded run with r = 3 replication and an active
 // attack. Explicit widths 3 and 8 force the pool even on single-core
 // machines, where the GOMAXPROCS default degenerates to serial.
+//
+// The f32/<aggregator> subtests run the same matrix at float32, where the
+// attack plane crafts from widened rows and non-coordinate-wise rules
+// aggregate widened winners.
 func TestSerialParallelBitIdentical(t *testing.T) {
+	testSerialParallelBitIdentical[float64](t, "")
+	testSerialParallelBitIdentical[float32](t, "f32/")
+}
+
+// testSerialParallelBitIdentical runs every registry aggregator at
+// width F, naming subtests prefix+aggregator.
+func testSerialParallelBitIdentical[F linalg.Float](t *testing.T, prefix string) {
 	reg := registry.Default
 	for _, name := range reg.Aggregators() {
-		t.Run(name, func(t *testing.T) {
-			run := func(parallelism int) []float64 {
+		t.Run(prefix+name, func(t *testing.T) {
+			run := func(parallelism int) []F {
 				agg, err := reg.Aggregator(name, aggParams[name])
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := testSetup(t, []int{2, 7, 11}, attack.ALIE{}, agg)
+				cfg := testSetupOf[F](t, []int{2, 7, 11}, attack.ALIE{}, agg)
 				cfg.Parallelism = parallelism
-				e, err := New(cfg)
+				e, err := NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,10 +67,9 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 					t.Fatalf("param lengths differ: %d vs %d", len(serial), len(parallel))
 				}
 				for i := range serial {
-					if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
-						t.Fatalf("width %d: param %d diverged: serial %v (bits %x), parallel %v (bits %x)",
-							width, i, serial[i], math.Float64bits(serial[i]),
-							parallel[i], math.Float64bits(parallel[i]))
+					if linalg.Bits(serial[i]) != linalg.Bits(parallel[i]) {
+						t.Fatalf("width %d: param %d diverged: serial %v, parallel %v",
+							width, i, serial[i], parallel[i])
 					}
 				}
 			}

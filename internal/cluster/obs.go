@@ -53,7 +53,7 @@ type engineInstruments struct {
 }
 
 // newEngineInstruments registers the engine's metric families on r.
-func newEngineInstruments(r *obs.Registry, e *Engine) *engineInstruments {
+func newEngineInstruments(r *obs.Registry, workerFiles [][]int) *engineInstruments {
 	ins := &engineInstruments{
 		rounds:         r.Counter("byzshield_rounds_total", "", "protocol rounds completed"),
 		distorted:      r.Counter("byzshield_files_distorted_total", "", "files whose vote the Byzantines won"),
@@ -76,8 +76,8 @@ func newEngineInstruments(r *obs.Registry, e *Engine) *engineInstruments {
 		ins.phase[p] = r.Histogram("byzshield_phase_seconds", `phase="`+p.Name()+`"`,
 			"wall-clock time per round phase", phaseBuckets)
 	}
-	ins.slotCount = make([]int, len(e.arena.cur))
-	for u, slots := range e.arena.cur {
+	ins.slotCount = make([]int, len(workerFiles))
+	for u, slots := range workerFiles {
 		ins.slotCount[u] = len(slots)
 		ins.totalSlots += len(slots)
 	}
@@ -89,7 +89,7 @@ func newEngineInstruments(r *obs.Registry, e *Engine) *engineInstruments {
 }
 
 // observeRound feeds one completed round into the instruments.
-func (ins *engineInstruments) observeRound(e *Engine, stats *RoundStats, prep, collect, vote, aggTotal, broadcast time.Duration) {
+func (ins *engineInstruments) observeRound(stats *RoundStats, prep, collect, vote, aggTotal, broadcast time.Duration) {
 	ins.rounds.Inc()
 	ins.distorted.Add(int64(stats.DistortedFiles))
 	ins.degraded.Add(int64(stats.DegradedFiles))

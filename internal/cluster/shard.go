@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -110,8 +111,8 @@ func missingBits(dst []uint64, missing []bool) {
 // the collecting goroutine mid-round once every live worker's shard-s
 // frame has been delivered (the inbox handoff ordered those decodes
 // before this read).
-func (pl *shardPlane) voteShard(e *Engine, s int) {
-	ar := e.arena
+func (e *EngineOf[F]) voteShard(s int) {
+	pl, ar := e.plane, e.arena
 	lo, hi := pl.ranges[s][0], pl.ranges[s][1]
 	mask, tied, dist := pl.mask[s], pl.tied[s], pl.dist[s]
 	var pos [maskWidth]int
@@ -133,7 +134,7 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 		if n == 0 {
 			continue
 		}
-		rng := func(i int) []float64 {
+		rng := func(i int) []F {
 			ref := refs[pos[i]]
 			return ar.cur[ref.worker][ref.slot][lo:hi]
 		}
@@ -148,7 +149,7 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 				c := i
 				gi := rng(i)
 				for j := 0; j < i; j++ {
-					if canon[j] == j && equalBits(rng(j), gi) {
+					if canon[j] == j && linalg.EqualBits(rng(j), gi) {
 						c = j
 						break
 					}
@@ -177,7 +178,7 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 			mask[v] = m
 		}
 		if ar.trueGrads[v] != nil {
-			dist[v] = !equalBits(rng(best), ar.trueGrads[v][lo:hi])
+			dist[v] = !linalg.EqualBits(rng(best), ar.trueGrads[v][lo:hi])
 		}
 	}
 }
@@ -188,13 +189,13 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 // shard-s frame has arrived; shardedVotePhase revalidates the snapshot
 // once collection closes and recomputes the shard if participation
 // changed after the early vote.
-func (e *Engine) voteShardEarly(s int) {
+func (e *EngineOf[F]) voteShardEarly(s int) {
 	pl := e.plane
 	if pl == nil || s < 0 || s >= pl.n || pl.voted[s] {
 		return
 	}
 	missingBits(pl.early[s], e.arena.missing)
-	pl.voteShard(e, s)
+	e.voteShard(s)
 	pl.voted[s] = true
 	pl.earlyValid[s] = true
 }
@@ -205,7 +206,7 @@ func (e *Engine) voteShardEarly(s int) {
 // agreed-mask fast path and falling back to the exact serial vote for
 // every file a shard tied or disagreed on. Counters land in the slot-0
 // arena scratch, which the caller's existing summing loop picks up.
-func (e *Engine) shardedVotePhase() {
+func (e *EngineOf[F]) shardedVotePhase() {
 	pl := e.plane
 	ar := e.arena
 	missingBits(pl.final, ar.missing)
@@ -213,7 +214,7 @@ func (e *Engine) shardedVotePhase() {
 		if pl.voted[s] && pl.earlyValid[s] && slices.Equal(pl.early[s], pl.final) {
 			return
 		}
-		pl.voteShard(e, s)
+		e.voteShard(s)
 		pl.voted[s] = true
 		pl.earlyValid[s] = false
 	})

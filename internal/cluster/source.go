@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"byzshield/internal/attack"
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -36,7 +37,7 @@ type CollectStats struct {
 	StaleFrames int
 }
 
-// GradientSource supplies one round's per-worker gradient replicas to
+// GradientSourceOf supplies one round's per-worker gradient replicas to
 // the engine — the single seam between the shared round core (vote,
 // quorum, robust aggregation, momentum step) and the two ways gradients
 // come into existence: computed in process by the engine's own worker
@@ -50,9 +51,12 @@ type CollectStats struct {
 // buffers from an earlier round. Collect owns the round's compute and
 // communication phases; the engine times everything after it (vote +
 // aggregation) itself.
-type GradientSource interface {
-	Collect(ctx context.Context, rd *Round) (CollectStats, error)
+type GradientSourceOf[F linalg.Float] interface {
+	Collect(ctx context.Context, rd *RoundOf[F]) (CollectStats, error)
 }
+
+// GradientSource is the float64 collection seam.
+type GradientSource = GradientSourceOf[float64]
 
 // RoundPreparer is the optional pipelining seam a GradientSource may
 // implement: when the engine runs with PrepareAhead, it calls
@@ -67,51 +71,54 @@ type RoundPreparer interface {
 	PrepareNext(iteration int, fileSamples [][]int)
 }
 
-// Round is the engine's view of one in-flight protocol round, handed to
+// RoundOf is the engine's view of one in-flight protocol round, handed to
 // the GradientSource: the iteration number, the current parameters, the
 // file→sample partition, and the preallocated arena buffers gradients
 // land in. Methods that address per-worker state (Buffer, Deliver,
 // MarkMissing) are safe to call concurrently for distinct workers,
 // which is how network sources collect from all workers in parallel.
-type Round struct {
-	eng   *Engine
+type RoundOf[F linalg.Float] struct {
+	eng   *EngineOf[F]
 	files [][]int
 }
 
+// Round is the float64 round view.
+type Round = RoundOf[float64]
+
 // Iteration returns the 0-based round index.
-func (rd *Round) Iteration() int { return rd.eng.iter }
+func (rd *RoundOf[F]) Iteration() int { return rd.eng.iter }
 
 // Params returns the current model parameters. The slice is the
 // engine's live parameter vector: read (or serialize) it, never write.
-func (rd *Round) Params() []float64 { return rd.eng.params }
+func (rd *RoundOf[F]) Params() []F { return rd.eng.params }
 
 // Workers returns the cluster size K.
-func (rd *Round) Workers() int { return rd.eng.cfg.Assignment.K }
+func (rd *RoundOf[F]) Workers() int { return rd.eng.cfg.Assignment.K }
 
 // WorkerFiles returns worker u's assigned file ids in slot order
 // (ascending). The slice is shared: do not modify.
-func (rd *Round) WorkerFiles(u int) []int { return rd.eng.arena.workerFiles[u] }
+func (rd *RoundOf[F]) WorkerFiles(u int) []int { return rd.eng.arena.workerFiles[u] }
 
 // FileSamples returns the training-sample indices of file v this round.
-func (rd *Round) FileSamples(v int) []int { return rd.files[v] }
+func (rd *RoundOf[F]) FileSamples(v int) []int { return rd.files[v] }
 
 // Buffer returns the engine-owned gradient buffer for worker u's slot-th
 // assigned file. Sources may decode or compute directly into it; doing
 // so counts as delivering the slot.
-func (rd *Round) Buffer(u, slot int) []float64 { return rd.eng.arena.grads[u][slot] }
+func (rd *RoundOf[F]) Buffer(u, slot int) []F { return rd.eng.arena.grads[u][slot] }
 
 // GradBuffer is Round.Buffer addressed from the engine: the buffers
 // are stable for the engine's lifetime, so a network source's
 // long-lived reader goroutines may cache and decode into them between
 // Collect calls — under the same contract as Buffer (only the worker's
 // current-round deliverer may write a buffer the round might read).
-func (e *Engine) GradBuffer(u, slot int) []float64 { return e.arena.grads[u][slot] }
+func (e *EngineOf[F]) GradBuffer(u, slot int) []F { return e.arena.grads[u][slot] }
 
 // Deliver points the engine at g as worker u's gradient for its slot-th
 // assigned file this round. g must have the model dimension and stay
 // untouched until the round completes; sources that reuse receive
 // buffers per (worker, slot) satisfy this automatically.
-func (rd *Round) Deliver(u, slot int, g []float64) error {
+func (rd *RoundOf[F]) Deliver(u, slot int, g []F) error {
 	ar := rd.eng.arena
 	if len(g) != ar.dim {
 		return fmt.Errorf("cluster: deliver worker %d slot %d: dim %d, want %d", u, slot, len(g), ar.dim)
@@ -123,13 +130,13 @@ func (rd *Round) Deliver(u, slot int, g []float64) error {
 // MarkMissing declares worker u absent this round: its replicas are
 // excluded from every file vote, and the quorum rule decides whether
 // affected files degrade or drop.
-func (rd *Round) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
+func (rd *RoundOf[F]) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
 
 // Shards returns the number of aggregation shards the engine's plane
 // splits the parameter vector into (1 when sharding is off). Sources
 // that stream per-shard report frames derive the coordinate split from
 // wire.ShardRange with this count.
-func (rd *Round) Shards() int {
+func (rd *RoundOf[F]) Shards() int {
 	if rd.eng.plane == nil {
 		return 1
 	}
@@ -144,7 +151,7 @@ func (rd *Round) Shards() int {
 // collection closes and silently recomputes the shard if workers went
 // missing after the early vote, so a mistimed call costs only the
 // wasted early work. No-op without a sharded plane.
-func (rd *Round) VoteShardEarly(s int) { rd.eng.voteShardEarly(s) }
+func (rd *RoundOf[F]) VoteShardEarly(s int) { rd.eng.voteShardEarly(s) }
 
 // localSource is the default GradientSource: the in-process cluster of
 // Algorithm 1. Honest workers compute their file gradient sums across
@@ -152,15 +159,14 @@ func (rd *Round) VoteShardEarly(s int) { rd.eng.voteShardEarly(s) }
 // payloads from the attack oracle, the optional fault model removes
 // workers from the round, and measured-communication mode pushes every
 // surviving message through the binary gradient-frame codec.
-type localSource struct {
-	e *Engine
+type localSource[F linalg.Float] struct {
+	e *EngineOf[F]
 }
 
-// Collect implements GradientSource.
-func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error) {
+// Collect implements GradientSourceOf.
+func (s localSource[F]) Collect(_ context.Context, rd *RoundOf[F]) (CollectStats, error) {
 	e := s.e
 	a := e.cfg.Assignment
-	m := e.cfg.Model
 	ar := e.arena
 	files := rd.files
 
@@ -194,7 +200,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 		for j, v := range ar.workerFiles[u] {
 			g := ar.grads[u][j]
 			clear(g)
-			m.SumGradient(e.params, e.cfg.Train, files[v], g)
+			e.train.SumGradient(e.params, files[v], g)
 			// Repoint the PS's view at the fresh compute buffer (a
 			// measured-communication round leaves it on the rx side).
 			ar.cur[u][j] = g
@@ -217,12 +223,14 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 		if ar.trueGrads[v] == nil {
 			g := ar.oracle[v]
 			clear(g)
-			m.SumGradient(e.params, e.cfg.Train, files[v], g)
+			e.train.SumGradient(e.params, files[v], g)
 			ar.trueGrads[v] = g
 		}
 	}
 
-	// Byzantine payloads. ALIE-style attacks are crafted from the
+	// Byzantine payloads (crafted by the float64 attack plane: from the
+	// oracle rows themselves at float64, from widened copies otherwise,
+	// with each payload narrowed back to the engine width). ALIE-style attacks are crafted from the
 	// worker-level view (n = K workers, m = q Byzantines), matching the
 	// paper's attack model: the adversary estimates moments across the
 	// worker population, not the post-vote operand population. Files are
@@ -234,10 +242,11 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 		// source and the normal-draw cache, so the stream is identical
 		// to a freshly constructed rand.New per round.
 		e.atkRng.Seed(e.cfg.Seed + int64(e.iter)*7919)
+		trueGrads := widen(ar.trueGrads, &ar.wideTrue)
 		e.atkCtx = attack.Context{
 			Round:             e.iter,
 			Dim:               ar.dim,
-			FileGradients:     ar.trueGrads,
+			FileGradients:     trueGrads,
 			CorruptibleFiles:  e.corruptible,
 			Participants:      a.K,
 			ExpectedCorrupted: len(e.byzSet),
@@ -249,7 +258,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 			return CollectStats{}, fmt.Errorf("cluster: attack coordinator: %w", err)
 		}
 		for _, v := range ar.byzFiles {
-			ar.crafted[v] = craft(v, ar.trueGrads[v])
+			ar.crafted[v] = narrow(ar.craftBuf[v], craft(v, trueGrads[v]))
 		}
 		for _, u := range ar.byzWorkers {
 			if ar.missing[u] {
@@ -396,7 +405,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 // once into the arena's scratch vector, so the broadcast round-trip is
 // executed, not modelled. It also rolls the per-worker acknowledgement
 // state forward for the next round.
-func (s localSource) measureBroadcast() (int64, error) {
+func (s localSource[F]) measureBroadcast() (int64, error) {
 	e := s.e
 	a := e.cfg.Assignment
 	ar := e.arena

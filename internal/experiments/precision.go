@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/trainer"
 	"byzshield/internal/transport"
 )
@@ -53,7 +54,7 @@ type PrecisionConfig struct {
 
 // precisionSpec builds the sweep's Spec for one input dim: the
 // quickstart MOLS(5,3) placement with a small batch, so the round is
-// kernel- and aggregation-bound, which is the regime the f32 tier
+// kernel- and aggregation-bound, which is the regime float32
 // targets.
 func (c PrecisionConfig) precisionSpec(inputDim int) transport.Spec {
 	return transport.Spec{
@@ -68,8 +69,8 @@ func (c PrecisionConfig) precisionSpec(inputDim int) transport.Spec {
 	}
 }
 
-// timeRounds64 times the post-warmup rounds of the f64 engine.
-func (c PrecisionConfig) timeRounds64(ctx context.Context, spec transport.Spec) (int64, error) {
+// timeRounds times the post-warmup rounds of the width-F engine.
+func timeRounds[F linalg.Float](ctx context.Context, c PrecisionConfig, spec transport.Spec) (int64, error) {
 	asn, err := spec.BuildAssignment()
 	if err != nil {
 		return 0, err
@@ -86,7 +87,7 @@ func (c PrecisionConfig) timeRounds64(ctx context.Context, spec transport.Spec) 
 	if err != nil {
 		return 0, err
 	}
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewEngine(cluster.ConfigOf[F]{
 		Assignment: asn, Model: mdl, Train: train, Test: test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
@@ -107,52 +108,6 @@ func (c PrecisionConfig) timeRounds64(ctx context.Context, spec transport.Spec) 
 			return 0, err
 		}
 		if _, err := eng.RunRound(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start).Nanoseconds() / int64(c.Rounds), nil
-}
-
-// timeRounds32 times the post-warmup rounds of the f32 engine over the
-// identical spec.
-func (c PrecisionConfig) timeRounds32(ctx context.Context, spec transport.Spec) (int64, error) {
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		return 0, err
-	}
-	mdl, err := spec.BuildModel32()
-	if err != nil {
-		return 0, err
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		return 0, err
-	}
-	agg, err := spec.BuildAggregator32()
-	if err != nil {
-		return 0, err
-	}
-	eng, err := cluster.New32(cluster.Config32{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: 1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer eng.Close()
-	for i := 0; i < c.Warmup; i++ {
-		if _, err := eng.StepOnce(ctx); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < c.Rounds; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if _, err := eng.StepOnce(ctx); err != nil {
 			return 0, err
 		}
 	}
@@ -185,10 +140,10 @@ func PrecisionScaling(ctx context.Context, cfg PrecisionConfig) ([]PrecisionPoin
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	best := func(f func(context.Context, transport.Spec) (int64, error), spec transport.Spec) (int64, error) {
+	best := func(f func(context.Context, PrecisionConfig, transport.Spec) (int64, error), spec transport.Spec) (int64, error) {
 		var min int64 = math.MaxInt64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			ns, err := f(ctx, spec)
+			ns, err := f(ctx, cfg, spec)
 			if err != nil {
 				return 0, err
 			}
@@ -207,10 +162,10 @@ func PrecisionScaling(ctx context.Context, cfg PrecisionConfig) ([]PrecisionPoin
 			Rounds:   cfg.Rounds,
 		}
 		var err error
-		if pt.F64RoundNs, err = best(cfg.timeRounds64, spec); err != nil {
+		if pt.F64RoundNs, err = best(timeRounds[float64], spec); err != nil {
 			return nil, fmt.Errorf("precision dim %d f64: %w", dim, err)
 		}
-		if pt.F32RoundNs, err = best(cfg.timeRounds32, spec); err != nil {
+		if pt.F32RoundNs, err = best(timeRounds[float32], spec); err != nil {
 			return nil, fmt.Errorf("precision dim %d f32: %w", dim, err)
 		}
 		if pt.F32RoundNs > 0 {

@@ -241,3 +241,29 @@ func BenchmarkMedianVec(b *testing.B) {
 		_ = MedianVec(vs)
 	}
 }
+
+func TestEqualBits(t *testing.T) {
+	testEqualBits[float64](t)
+	testEqualBits[float32](t)
+}
+
+// testEqualBits pins the exact-vote equality at width F: a NaN equals
+// itself, +0 and −0 differ, and lengths must match.
+func testEqualBits[F Float](t *testing.T) {
+	nan := F(math.NaN())
+	negZero := F(math.Copysign(0, -1))
+	for _, c := range []struct {
+		a, b []F
+		want bool
+	}{
+		{nil, []F{}, true},
+		{[]F{1, nan, 3}, []F{1, nan, 3}, true},
+		{[]F{1, 0, 3}, []F{1, negZero, 3}, false},
+		{[]F{1, 2, 3}, []F{1, 2, 4}, false},
+		{[]F{1, 2}, []F{1, 2, 3}, false},
+	} {
+		if got := EqualBits(c.a, c.b); got != c.want {
+			t.Errorf("width %d: EqualBits(%v, %v) = %v, want %v", Width[F](), c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -35,14 +35,7 @@ type Model32 interface {
 // InitParams vector narrowed element-wise, so an f32 run starts from
 // the rounded image of the exact same deterministic draw an f64 run
 // with the same seed starts from.
-func InitParams32(m Model, seed int64) []float32 {
-	p64 := InitParams(m, seed)
-	p32 := make([]float32, len(p64))
-	for i, v := range p64 {
-		p32[i] = float32(v)
-	}
-	return p32
-}
+func InitParams32(m Model, seed int64) []float32 { return InitParamsOf[float32](m, seed) }
 
 // Accuracy32 returns the top-1 accuracy of m with float32 params over
 // the float32 dataset view.

@@ -7,6 +7,8 @@ package trainer
 import (
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // Schedule is the paper's (x, y, z) learning-rate schedule notation:
@@ -41,16 +43,29 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("(%g, %g, %d)", s.Base, s.Decay, s.Every)
 }
 
-// SGD is stochastic gradient descent with classical momentum:
-// v ← µ·v + g;  w ← w − η_t·v.
-type SGD struct {
+// SGDOf is stochastic gradient descent with classical momentum at
+// element width F: v ← µ·v + g;  w ← w − η_t·v. The velocity buffer and
+// every arithmetic operation run at width F, with the momentum narrowed
+// once at construction and the learning rate once per iteration from
+// the shared Schedule (both conversions are identities at float64).
+type SGDOf[F linalg.Float] struct {
 	Schedule Schedule
-	Momentum float64
-	velocity []float64
+	Momentum F
+	velocity []F
 }
 
-// NewSGD constructs the optimizer for a d-dimensional parameter vector.
+// SGD is the float64 optimizer.
+type SGD = SGDOf[float64]
+
+// NewSGD constructs the float64 optimizer for a d-dimensional parameter
+// vector.
 func NewSGD(schedule Schedule, momentum float64, dim int) (*SGD, error) {
+	return NewSGDOf[float64](schedule, momentum, dim)
+}
+
+// NewSGDOf constructs the width-F optimizer for a d-dimensional
+// parameter vector.
+func NewSGDOf[F linalg.Float](schedule Schedule, momentum float64, dim int) (*SGDOf[F], error) {
 	if err := schedule.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,16 +75,12 @@ func NewSGD(schedule Schedule, momentum float64, dim int) (*SGD, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("trainer: dim %d < 1", dim)
 	}
-	return &SGD{Schedule: schedule, Momentum: momentum, velocity: make([]float64, dim)}, nil
+	return &SGDOf[F]{Schedule: schedule, Momentum: F(momentum), velocity: make([]F, dim)}, nil
 }
 
 // Step applies one update in place using the gradient estimate grad at
 // iteration t.
-func (o *SGD) Step(params, grad []float64, t int) {
-	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
-		panic(fmt.Sprintf("trainer: dim mismatch params=%d grad=%d velocity=%d",
-			len(params), len(grad), len(o.velocity)))
-	}
+func (o *SGDOf[F]) Step(params, grad []F, t int) {
 	o.StepChunk(params, grad, t, 0, len(params))
 }
 
@@ -79,7 +90,7 @@ func (o *SGD) Step(params, grad []float64, t int) {
 // floating-point operations per coordinate — the sharded aggregation
 // plane steps each shard's range independently and stays bit-identical
 // to the serial optimizer. Chunks must not overlap within an iteration.
-func (o *SGD) StepChunk(params, grad []float64, t, lo, hi int) {
+func (o *SGDOf[F]) StepChunk(params, grad []F, t, lo, hi int) {
 	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
 		panic(fmt.Sprintf("trainer: dim mismatch params=%d grad=%d velocity=%d",
 			len(params), len(grad), len(o.velocity)))
@@ -87,7 +98,7 @@ func (o *SGD) StepChunk(params, grad []float64, t, lo, hi int) {
 	if lo < 0 || hi > len(params) || lo > hi {
 		panic(fmt.Sprintf("trainer: chunk [%d,%d) outside [0,%d)", lo, hi, len(params)))
 	}
-	lr := o.Schedule.At(t)
+	lr := F(o.Schedule.At(t))
 	for i := lo; i < hi; i++ {
 		o.velocity[i] = o.Momentum*o.velocity[i] + grad[i]
 		params[i] -= lr * o.velocity[i]
@@ -95,22 +106,18 @@ func (o *SGD) StepChunk(params, grad []float64, t, lo, hi int) {
 }
 
 // Reset zeroes the momentum buffer.
-func (o *SGD) Reset() {
-	for i := range o.velocity {
-		o.velocity[i] = 0
-	}
+func (o *SGDOf[F]) Reset() {
+	clear(o.velocity)
 }
 
 // Velocity returns a copy of the momentum buffer (for checkpointing).
-func (o *SGD) Velocity() []float64 {
-	out := make([]float64, len(o.velocity))
-	copy(out, o.velocity)
-	return out
+func (o *SGDOf[F]) Velocity() []F {
+	return append([]F(nil), o.velocity...)
 }
 
 // SetVelocity restores the momentum buffer from a checkpoint. The
 // length must match the optimizer's dimension.
-func (o *SGD) SetVelocity(v []float64) error {
+func (o *SGDOf[F]) SetVelocity(v []F) error {
 	if len(v) != len(o.velocity) {
 		return fmt.Errorf("trainer: velocity length %d, want %d", len(v), len(o.velocity))
 	}

@@ -3,6 +3,8 @@ package trainer
 import (
 	"math"
 	"testing"
+
+	"byzshield/internal/linalg"
 )
 
 func TestScheduleAt(t *testing.T) {
@@ -77,23 +79,30 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 }
 
-func TestSGDErrors(t *testing.T) {
-	if _, err := NewSGD(Schedule{Base: 0.1}, -0.1, 2); err == nil {
+func TestSGDErrors(t *testing.T) { testSGDErrors[float64](t) }
+
+// testSGDErrors checks the constructor and dimension validation at
+// width F.
+func testSGDErrors[F linalg.Float](t *testing.T) {
+	if _, err := NewSGDOf[F](Schedule{Base: -1}, 0.5, 4); err == nil {
+		t.Error("bad schedule accepted")
+	}
+	if _, err := NewSGDOf[F](Schedule{Base: 0.1}, -0.1, 2); err == nil {
 		t.Error("negative momentum accepted")
 	}
-	if _, err := NewSGD(Schedule{Base: 0.1}, 1, 2); err == nil {
+	if _, err := NewSGDOf[F](Schedule{Base: 0.1}, 1, 2); err == nil {
 		t.Error("momentum 1 accepted")
 	}
-	if _, err := NewSGD(Schedule{Base: 0.1}, 0, 0); err == nil {
+	if _, err := NewSGDOf[F](Schedule{Base: 0.1}, 0, 0); err == nil {
 		t.Error("dim 0 accepted")
 	}
-	o, _ := NewSGD(Schedule{Base: 0.1}, 0, 2)
+	o, _ := NewSGDOf[F](Schedule{Base: 0.1}, 0, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("dim mismatch did not panic")
 		}
 	}()
-	o.Step([]float64{1}, []float64{1}, 0)
+	o.Step([]F{1}, []F{1}, 0)
 }
 
 func TestSGDConvergesOnQuadratic(t *testing.T) {
@@ -136,3 +145,70 @@ func TestHistory(t *testing.T) {
 		t.Error("points wrong")
 	}
 }
+
+func TestSGDStepChunkMatchesStep(t *testing.T)   { testStepChunkMatchesStep[float64](t) }
+func TestSGD32StepChunkMatchesStep(t *testing.T) { testStepChunkMatchesStep[float32](t) }
+
+// testStepChunkMatchesStep: the update is coordinate-wise, so any chunk
+// partition must be bit-identical to a full step at width F — the
+// property the sharded plane relies on.
+func testStepChunkMatchesStep[F linalg.Float](t *testing.T) {
+	sched := Schedule{Base: 0.1, Decay: 0.5, Every: 3}
+	a, err := NewSGDOf[F](sched, 0.9, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := NewSGDOf[F](sched, 0.9, 10)
+	pa := make([]F, 10)
+	pb := make([]F, 10)
+	g := make([]F, 10)
+	for i := range pa {
+		pa[i] = F(i) * 0.25
+		pb[i] = pa[i]
+		g[i] = F(10-i) * 0.125
+	}
+	for it := 0; it < 8; it++ {
+		a.Step(pa, g, it)
+		b.StepChunk(pb, g, it, 0, 4)
+		b.StepChunk(pb, g, it, 4, 9)
+		b.StepChunk(pb, g, it, 9, 10)
+		if !linalg.EqualBits(pa, pb) {
+			t.Fatalf("iter %d: chunked step diverged", it)
+		}
+	}
+}
+
+func TestSGDVelocityRoundTrip(t *testing.T)   { testVelocityRoundTrip[float64](t) }
+func TestSGD32VelocityRoundTrip(t *testing.T) { testVelocityRoundTrip[float32](t) }
+
+// testVelocityRoundTrip checks checkpointed momentum restores the exact
+// trajectory at width F.
+func testVelocityRoundTrip[F linalg.Float](t *testing.T) {
+	o, _ := NewSGDOf[F](Schedule{Base: 0.1}, 0.5, 4)
+	p := []F{1, 2, 3, 4}
+	o.Step(p, []F{1, 1, 1, 1}, 0)
+	v := o.Velocity()
+	o2, _ := NewSGDOf[F](Schedule{Base: 0.1}, 0.5, 4)
+	if err := o2.SetVelocity(v); err != nil {
+		t.Fatal(err)
+	}
+	p2 := append([]F(nil), p...)
+	o.Step(p, []F{2, 2, 2, 2}, 1)
+	o2.Step(p2, []F{2, 2, 2, 2}, 1)
+	if !linalg.EqualBits(p, p2) {
+		t.Fatal("restored velocity diverged")
+	}
+	if err := o2.SetVelocity(make([]F, 3)); err == nil {
+		t.Fatal("want error for wrong velocity length")
+	}
+	o2.Reset()
+	for _, v := range o2.Velocity() {
+		if v != 0 {
+			t.Fatal("Reset left velocity nonzero")
+		}
+	}
+}
+
+// TestNewSGD32Validates runs the constructor checks of TestSGDErrors at
+// float32.
+func TestNewSGD32Validates(t *testing.T) { testSGDErrors[float32](t) }

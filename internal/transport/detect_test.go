@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,6 +140,39 @@ func TestSidecarALIEBitIdenticalToEngine(t *testing.T) {
 				i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
+}
+
+// TestSidecarRejectedAtF32: the adversary sidecar is float64-only, so
+// a coalition worker whose server runs at f32 stops at the handshake
+// with a typed error instead of crafting from an empty parameter view.
+func TestSidecarRejectedAtF32(t *testing.T) {
+	hub, err := advnet.NewHub("127.0.0.1:0", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	go hub.Serve(context.Background())
+
+	srv, err := NewServerOf[float32]("127.0.0.1:0", ServerConfig{Spec: testSpec(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		srv.Serve(ctx)
+	}()
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	_, err = RunWorker(wctx, srv.Addr(), WorkerConfig{ID: 0, Behavior: BehaviorALIE, AdvAddr: hub.Addr()})
+	if err == nil || !strings.Contains(err.Error(), "adversary sidecar runs at f64 only") {
+		t.Fatalf("sidecar worker against an f32 server: err %v, want the f64-only refusal", err)
+	}
+	cancel()
+	<-serveDone
 }
 
 // TestBlacklistedWorkerRejoinRejected: a persistently Byzantine worker

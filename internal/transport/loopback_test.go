@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/registry"
 	"byzshield/internal/wire"
 )
@@ -18,6 +19,14 @@ import (
 // engineParams runs the in-process engine over the experiment described
 // by spec at the given pool width and returns the final parameters.
 func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
+	t.Helper()
+	return engineParamsOf[float64](t, spec, parallelism, 0, wire.TierDelta)
+}
+
+// engineParamsOf is engineParams at width F, with the engine pinned to
+// a shard count and uplink tier (lossy tiers quantize per shard range,
+// so a lossy reference must match the wire's shard count).
+func engineParamsOf[F linalg.Float](t *testing.T, spec Spec, parallelism, shards int, tier wire.UplinkTier) []F {
 	t.Helper()
 	asn, err := spec.BuildAssignment()
 	if err != nil {
@@ -39,12 +48,12 @@ func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewEngine(cluster.ConfigOf[F]{
 		Assignment: asn, Model: mdl, Train: train, Test: test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: parallelism,
-		Detector:    det, Detection: spec.DetectorParams.Policy(),
+		Parallelism: parallelism, Shards: shards, UplinkTier: tier,
+		Detector: det, Detection: spec.DetectorParams.Policy(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +71,16 @@ func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
 // server's final parameters.
 func wireParams(t *testing.T, spec Spec) []float64 {
 	t.Helper()
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
+	return wireParamsOf[float64](t, spec, ServerConfig{})
+}
+
+// wireParamsOf runs spec over loopback TCP on a width-F server built
+// from cfg (its Spec is replaced by spec); the workers learn the width
+// from the handshake.
+func wireParamsOf[F linalg.Float](t *testing.T, spec Spec, cfg ServerConfig) []F {
+	t.Helper()
+	cfg.Spec = spec
+	srv, err := NewServerOf[F]("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,28 +111,39 @@ func wireParams(t *testing.T, spec Spec) []float64 {
 // TCP loopback cluster all execute the shared round core and must
 // produce bit-identical final parameters — the wire is a transparent
 // gradient source, not a second implementation of the protocol.
-func TestLoopbackBitIdenticalToEngine(t *testing.T) {
+//
+// The sharded+pipelined wire plane and the lossy sign tier (against an
+// engine quantizing at the same granularity) must match too.
+func TestLoopbackBitIdenticalToEngine(t *testing.T) { testLoopbackBitIdentical[float64](t) }
+
+// TestLoopback32BitIdenticalToEngine32 runs the same pins at float32.
+func TestLoopback32BitIdenticalToEngine32(t *testing.T) { testLoopbackBitIdentical[float32](t) }
+
+// testLoopbackBitIdentical pins serial engine == pooled+sharded engine
+// == unsharded wire == sharded+pipelined wire at width F, and the sign
+// tier's wire path against its in-process quantization.
+func testLoopbackBitIdentical[F linalg.Float](t *testing.T) {
 	spec := testSpec(8)
-	serial := engineParams(t, spec, 1)
-	pooled := engineParams(t, spec, 4)
-	wired := wireParams(t, spec)
-	if len(serial) != len(pooled) || len(serial) != len(wired) {
-		t.Fatalf("param lengths diverge: %d / %d / %d", len(serial), len(pooled), len(wired))
+	serial := engineParamsOf[F](t, spec, 1, 0, wire.TierDelta)
+	for name, got := range map[string][]F{
+		"pooled+sharded engine":  engineParamsOf[F](t, spec, 4, 3, wire.TierDelta),
+		"wire path":              wireParamsOf[F](t, spec, ServerConfig{}),
+		"sharded+pipelined wire": wireParamsOf[F](t, spec, ServerConfig{Shards: 3, Pipeline: true}),
+	} {
+		if !linalg.EqualBits(got, serial) {
+			t.Errorf("%s diverged from the serial engine", name)
+		}
 	}
-	for i := range serial {
-		sb := math.Float64bits(serial[i])
-		if pb := math.Float64bits(pooled[i]); pb != sb {
-			t.Fatalf("param %d: pooled engine diverged (%x vs %x)", i, pb, sb)
-		}
-		if wb := math.Float64bits(wired[i]); wb != sb {
-			t.Fatalf("param %d: wire path diverged (%x vs %x)", i, wb, sb)
-		}
+	signEng := engineParamsOf[F](t, spec, 1, 0, wire.TierSign)
+	signWire := wireParamsOf[F](t, spec, ServerConfig{Uplink: wire.TierSign})
+	if !linalg.EqualBits(signWire, signEng) {
+		t.Error("sign-tier wire path diverged from the quantizing engine")
 	}
 }
 
 // waitRejoinPending polls until worker u has a validated rejoin
 // connection parked for round-boundary admission.
-func waitRejoinPending(t *testing.T, srv *Server, u int) {
+func waitRejoinPending[F linalg.Float](t *testing.T, srv *ServerOf[F], u int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -130,7 +159,7 @@ func waitRejoinPending(t *testing.T, srv *Server, u int) {
 }
 
 // workerToken reads worker u's current session token.
-func workerToken(srv *Server, u int) uint64 {
+func workerToken[F linalg.Float](srv *ServerOf[F], u int) uint64 {
 	srv.src.mu.Lock()
 	defer srv.src.mu.Unlock()
 	return srv.src.workers[u].token
@@ -326,18 +355,11 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
-		var err error
-		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome.Spec, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = welcome.Spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		initManualWorkerShards(st, welcome)
 		for {
 			msg, err := victimConn.Recv()
 			if err != nil {
@@ -717,5 +739,150 @@ func TestStragglerPastDeadlineMissesRoundsButSurvives(t *testing.T) {
 		if len(rs.MissingWorkers) != 1 || rs.MissingWorkers[0] != 3 {
 			t.Errorf("round %d: missing %v, want [3]", rs.Iteration, rs.MissingWorkers)
 		}
+	}
+}
+
+// TestServer32RejectsF64Worker: a worker whose Hello offers only f64
+// cannot join an f32 server; the handshake answers with the typed
+// precision reject instead of a codec error mid-run.
+func TestServer32RejectsF64Worker(t *testing.T) {
+	srv, err := NewServerOf[float32]("127.0.0.1:0", ServerConfig{Spec: testSpec(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		srv.Serve(ctx)
+	}()
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(raw)
+	defer conn.Close()
+	if _, err := conn.Send(Hello{
+		WorkerID: 0, Version: wire.ProtocolVersion,
+		Tiers: wire.AllTiersMask, Precisions: wire.PrecisionF64.Mask(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rej, ok := msg.(Reject)
+	if !ok || rej.Code != RejectPrecision {
+		t.Fatalf("f64-only Hello to an f32 server got %#v, want a precision reject", msg)
+	}
+	cancel()
+	<-serveDone
+}
+
+// TestWorker32RejoinRenegotiation kills a worker between rounds on an
+// int8-uplink f32 run and restarts it with its session token but a
+// lossless-only tier mask. The server must renegotiate the connection
+// down to the delta tier (never substituting another lossy tier),
+// re-admit the worker at the next round boundary, and finish the run
+// with no missing rounds after the rejoin.
+func TestWorker32RejoinRenegotiation(t *testing.T) {
+	const victim = 3
+	spec := testSpec(8)
+
+	var mu sync.Mutex
+	var stats []cluster.RoundStats
+	var srv *ServerOf[float32]
+	restarted := make(chan error, 1)
+	workerCtx, killWorker := context.WithCancel(context.Background())
+	defer killWorker()
+
+	cfg := ServerConfig{
+		Spec:         spec,
+		Uplink:       wire.TierInt8,
+		RoundTimeout: 30 * time.Second,
+		OnRound: func(rs cluster.RoundStats) {
+			mu.Lock()
+			stats = append(stats, rs)
+			mu.Unlock()
+			if rs.Iteration != 3 {
+				return
+			}
+			// Between rounds 3 and 4: kill the worker process, then
+			// restart it with the session token but only the lossless
+			// tiers on offer. OnRound blocks the serve loop, so round 4
+			// starts only after the rejoin is parked for admission.
+			killWorker()
+			token := workerToken(srv, victim)
+			go func() {
+				_, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{
+					ID:          victim,
+					ResumeToken: token,
+					Tiers:       wire.TierRaw.Mask() | wire.TierDelta.Mask(),
+				})
+				restarted <- err
+			}()
+			waitRejoinPending(t, srv, victim)
+		},
+	}
+	var err error
+	srv, err = NewServerOf[float32]("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			ctx := context.Background()
+			wcfg := WorkerConfig{ID: u}
+			if u == victim {
+				ctx = workerCtx
+				wcfg.ReconnectAttempts = -1 // the test restarts it explicitly
+			}
+			_, err := RunWorker(ctx, srv.Addr(), wcfg)
+			if u == victim {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("killed worker returned %v, want context.Canceled", err)
+				}
+			} else if err != nil {
+				t.Errorf("worker %d: %v", u, err)
+			}
+		}(u)
+	}
+	if _, err := srv.Serve(context.Background()); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	wg.Wait()
+	if err := <-restarted; err != nil {
+		t.Errorf("restarted worker: %v", err)
+	}
+
+	if len(stats) != spec.Rounds {
+		t.Fatalf("recorded %d rounds, want %d", len(stats), spec.Rounds)
+	}
+	for _, rs := range stats {
+		if rs.Iteration >= 5 && len(rs.MissingWorkers) != 0 {
+			t.Errorf("round %d: missing %v after the rejoin boundary", rs.Iteration, rs.MissingWorkers)
+		}
+	}
+	srv.src.mu.Lock()
+	tier := srv.src.workers[victim].tier
+	srv.src.mu.Unlock()
+	if tier != wire.TierDelta {
+		t.Errorf("rejoined worker renegotiated to tier %s, want %s (best lossless)", tier, wire.TierDelta)
+	}
+	if c := srv.Counters(); c.Rejoins < 1 {
+		t.Errorf("counters recorded %d rejoins, want >= 1", c.Rejoins)
 	}
 }

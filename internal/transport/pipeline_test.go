@@ -18,16 +18,27 @@ import (
 	"byzshield/internal/wire"
 )
 
+// manualWorker builds the float64 round state RunWorker's first
+// handshake would, for a test worker driving a hand-dialed connection.
+func manualWorker(id int, spec Spec, w Welcome) (*workerState[float64], error) {
+	st, err := newWorkerState[float64](&worker{cfg: WorkerConfig{ID: id, Behavior: BehaviorHonest}, spec: spec})
+	if err != nil {
+		return nil, err
+	}
+	initManualWorkerShards(st, w)
+	return st, nil
+}
+
 // initManualWorkerShards gives a hand-rolled test worker the shard
 // state RunWorker's handshake would build from the Welcome.
-func initManualWorkerShards(st *workerState, w Welcome) {
+func initManualWorkerShards(st *workerState[float64], w Welcome) {
 	shards := w.Shards
 	if shards == 0 {
 		shards = 1
 	}
 	st.shards = shards
 	st.ranges = make([][2]int, shards)
-	dim := st.mdl.NumParams()
+	dim := len(st.params)
 	for s := range st.ranges {
 		st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
 	}
@@ -221,18 +232,11 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
-		var err error
-		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome.Spec, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = welcome.Spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		initManualWorkerShards(st, welcome)
 		for {
 			msg, err := conn.Recv()
 			if err != nil {
@@ -367,18 +371,11 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
-		var err error
-		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome.Spec, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = welcome.Spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		initManualWorkerShards(st, welcome)
 		for {
 			msg, err := conn.Recv()
 			if err != nil {

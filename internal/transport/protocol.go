@@ -177,6 +177,53 @@ type Spec struct {
 	DetectorParams registry.DetectorParams
 }
 
+// Spec resource budgets: the largest experiment a process builds from a
+// Spec. A worker builds its dataset and model from the Welcome's copy,
+// so these bound what a hostile or corrupt peer can make it allocate
+// before any round runs. Every in-repo workload fits with room to spare
+// (the byzbench dim sweep tops out at 12,500 features, byzfleet at 960
+// workers, the benchmark at 3,000 training samples).
+const (
+	maxSpecScheme   = 1 << 10 // L, R
+	maxSpecWorkers  = 1 << 16 // K, F
+	maxSpecSamples  = 1 << 22 // TrainN, TestN, BatchSize
+	maxSpecDim      = 1 << 17
+	maxSpecClasses  = 1 << 12
+	maxSpecHidden   = 1 << 14
+	maxSpecFeatures = 1 << 27 // (TrainN+TestN)·Dim dataset values
+	maxSpecParams   = 1 << 25 // model parameters
+)
+
+// Validate checks the Spec against the resource budgets. NewServer and
+// every worker run it before building anything from the Spec.
+func (s *Spec) Validate() error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"L", s.L, maxSpecScheme}, {"R", s.R, maxSpecScheme},
+		{"K", s.K, maxSpecWorkers}, {"F", s.F, maxSpecWorkers},
+		{"TrainN", s.TrainN, maxSpecSamples}, {"TestN", s.TestN, maxSpecSamples},
+		{"BatchSize", s.BatchSize, maxSpecSamples},
+		{"Dim", s.Dim, maxSpecDim}, {"Classes", s.Classes, maxSpecClasses},
+		{"Hidden", s.Hidden, maxSpecHidden},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("transport: spec %s = %d outside the budget [0, %d]", f.name, f.v, f.max)
+		}
+	}
+	if n := uint64(s.TrainN+s.TestN) * uint64(s.Dim); n > maxSpecFeatures {
+		return fmt.Errorf("transport: spec dataset holds %d feature values, budget %d", n, maxSpecFeatures)
+	}
+	// Softmax has (Dim+1)·Classes parameters, the MLP
+	// (Dim+1)·Hidden + (Hidden+1)·Classes; this bounds both.
+	d, h, c := uint64(s.Dim), uint64(s.Hidden), uint64(s.Classes)
+	if n := (d+1)*(h+c) + (h+1)*c; n > maxSpecParams {
+		return fmt.Errorf("transport: spec model has up to %d parameters, budget %d", n, maxSpecParams)
+	}
+	return nil
+}
+
 // components is the shared catalog every Spec resolves names through;
 // custom components registered on it (byzshield.Registry is the same
 // object) are therefore valid on the wire.
@@ -207,37 +254,6 @@ func (s *Spec) BuildModel() (model.Model, error) {
 		return model.NewMLP(s.Dim, s.Hidden, s.Classes)
 	}
 	return model.NewSoftmax(s.Dim, s.Classes)
-}
-
-// BuildModel32 constructs the float32 model described by the spec. The
-// f32 precision tier supports the models that implement model.Model32;
-// an MLP spec (Hidden > 0) is rejected rather than silently widened.
-func (s *Spec) BuildModel32() (model.Model32, error) {
-	m, err := s.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	m32, ok := m.(model.Model32)
-	if !ok {
-		return nil, fmt.Errorf("transport: model %T has no float32 kernel set (the f32 tier supports softmax and convnet)", m)
-	}
-	return m32, nil
-}
-
-// BuildAggregator32 constructs the aggregation rule named by the spec
-// at float32 width. Every registry rule that implements
-// aggregate.ChunkAggregator32 qualifies; one that aggregates at f64
-// only is rejected by name.
-func (s *Spec) BuildAggregator32() (aggregate.ChunkAggregator32, error) {
-	agg, err := s.BuildAggregator()
-	if err != nil {
-		return nil, err
-	}
-	agg32, ok := agg.(aggregate.ChunkAggregator32)
-	if !ok {
-		return nil, fmt.Errorf("transport: aggregator %q has no float32 kernel set", s.Aggregator)
-	}
-	return agg32, nil
 }
 
 // BuildData constructs the train/test datasets described by the spec.
@@ -425,10 +441,9 @@ type Hello struct {
 	Tiers uint8
 	// Precisions is the bitmask of numeric precision tiers the worker
 	// implements (wire.Precision.Mask per bit). A zero mask is treated
-	// as f64-only, the pre-v7 behavior. The server picks the
-	// connection's precision from this mask — the f64 server selects
-	// f64 and refuses f32-only workers, the f32 server requires f32 —
-	// and pins it in Welcome.Precision.
+	// as f64-only, the pre-v7 behavior. A server requires the
+	// precision it is instantiated at (see ServerOf) in this mask and
+	// pins it in Welcome.Precision.
 	Precisions uint8
 }
 
@@ -493,7 +508,7 @@ type Welcome struct {
 	// params and gradient frame on the connection from here on carries
 	// values of this precision (wire.PrecisionF64, the zero value, keeps
 	// the pre-v7 float64 frames; wire.PrecisionF32 switches both
-	// directions to the float32 codec set of wire/f32.go).
+	// directions to float32 values).
 	Precision wire.Precision
 }
 
@@ -774,6 +789,12 @@ func ctxErr(ctx context.Context, err error) error {
 // stream had no frame boundaries to come back to.
 type Conn struct {
 	raw net.Conn
+	// limit caps the payload a frame may declare (0 = the protocol-wide
+	// wire.MaxFramePayload). The server sets it to helloFrameLimit on
+	// every accepted connection and lifts it once its Welcome is on the
+	// wire, so an unauthenticated peer cannot make the PS allocate a
+	// large frame body.
+	limit int
 	// Write scratch (header + in-place payload), reused across Sends.
 	wbuf []byte
 	// Resumable read state for the in-flight frame.
@@ -787,6 +808,11 @@ type Conn struct {
 
 // NewConn wraps a net.Conn.
 func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw} }
+
+// helloFrameLimit is the largest payload a connection may declare
+// before the server admits it. A Hello payload is 16 bytes; the slack
+// keeps small future fields from needing a new constant.
+const helloFrameLimit = 64
 
 // Send transmits one message as a single frame and reports the frame's
 // size in bytes (the exact wire cost of the message).
@@ -895,6 +921,9 @@ func (c *Conn) Recv() (any, error) {
 		typ, length, err := wire.ParseFrameHeader(c.hdr[:])
 		if err != nil {
 			return nil, err
+		}
+		if c.limit > 0 && length > c.limit {
+			return nil, fmt.Errorf("transport: %d-byte frame before admission, limit %d", length, c.limit)
 		}
 		c.typ = typ
 		if cap(c.body) < length {

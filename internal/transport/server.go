@@ -15,6 +15,7 @@ import (
 	"byzshield/internal/aggregate"
 	"byzshield/internal/assign"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
 	"byzshield/internal/wire"
@@ -45,7 +46,9 @@ const helloTimeout = 30 * time.Second
 // guarantees the pump goroutines join even if a worker never hangs up.
 const shutdownDrainTimeout = 10 * time.Second
 
-// ServerConfig configures the TCP parameter server.
+// ServerConfig configures the TCP parameter server at either precision
+// (the precision is the type the server is instantiated at, see
+// NewServerOf).
 type ServerConfig struct {
 	Spec Spec
 	// Aggregator overrides the rule named by Spec.Aggregator; leave nil
@@ -145,7 +148,8 @@ type Counters struct {
 	BlacklistRejections int64
 }
 
-// Server is the TCP parameter server: it accepts K workers and drives
+// ServerOf is the TCP parameter server at element width F: it accepts K
+// workers and drives
 // the synchronous rounds of Algorithm 1 over the network. The per-round
 // protocol itself — majority vote with quorum, robust aggregation,
 // momentum step — executes in the shared cluster round core; the server
@@ -165,12 +169,17 @@ type Counters struct {
 // session token) and are re-admitted at the next round boundary, where
 // they receive a full parameter broadcast and resume contributing their
 // file gradients.
-type Server struct {
+//
+// The width is connection state pinned at the handshake: the server
+// selects wire.PrecisionOf[F] from each worker's Hello precision mask
+// and refuses workers that do not offer it, so every params and
+// gradient frame of the run travels at width F.
+type ServerOf[F linalg.Float] struct {
 	cfg        ServerConfig
 	listener   net.Listener
 	assignment *assign.Assignment
-	eng        *cluster.Engine
-	src        *wireSource
+	eng        *cluster.EngineOf[F]
+	src        *wireSource[F]
 	fleet      *obs.FleetTable
 
 	histMu  sync.Mutex
@@ -181,9 +190,22 @@ type Server struct {
 	serving bool
 }
 
-// NewServer validates the config and binds the listener on addr
-// (e.g. "127.0.0.1:0" to pick a free port).
+// Server is the float64 parameter server.
+type Server = ServerOf[float64]
+
+// NewServer validates the config and binds a float64 server's listener
+// on addr (e.g. "127.0.0.1:0" to pick a free port).
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
+	return NewServerOf[float64](addr, cfg)
+}
+
+// NewServerOf validates the config and binds a width-F server's
+// listener on addr. At float32 the Spec's model must have float32
+// kernels (softmax or convnet; the MLP is rejected).
+func NewServerOf[F linalg.Float](addr string, cfg ServerConfig) (*ServerOf[F], error) {
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Aggregator == nil {
 		agg, err := cfg.Spec.BuildAggregator()
 		if err != nil {
@@ -239,9 +261,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("transport: unknown uplink tier %d", cfg.Uplink)
 	}
 	shards := wire.ShardCount(cfg.Shards, mdl.NumParams())
-	src := newWireSource(asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Pipeline, cfg.Spec.Rounds, cfg.Logf)
+	src := newWireSource[F](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Pipeline, cfg.Spec.Rounds, cfg.Logf)
 	src.uplink = cfg.Uplink
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewEngine(cluster.ConfigOf[F]{
 		Assignment:   asn,
 		Model:        mdl,
 		Train:        train,
@@ -278,7 +300,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		eng.Close()
 		return nil, err
 	}
-	s := &Server{
+	s := &ServerOf[F]{
 		cfg:        cfg,
 		listener:   ln,
 		assignment: asn,
@@ -294,16 +316,16 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 
 // Fleet returns the server's per-worker status table — the backing
 // store of /statusz and the worker-labeled /metrics series.
-func (s *Server) Fleet() *obs.FleetTable { return s.fleet }
+func (s *ServerOf[F]) Fleet() *obs.FleetTable { return s.fleet }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.listener.Addr().String() }
+func (s *ServerOf[F]) Addr() string { return s.listener.Addr().String() }
 
 // Close releases the listener and, when no Serve is in flight, the
 // engine's worker-pool goroutines. Close is safe to call concurrently
 // with a running Serve: the engine must not be torn down under a
 // mid-flight round, so in that case Serve's own exit path releases it.
-func (s *Server) Close() error {
+func (s *ServerOf[F]) Close() error {
 	err := s.listener.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,7 +337,7 @@ func (s *Server) Close() error {
 
 // History returns the recorded evaluation series. Valid once Serve has
 // returned (evaluation runs on a background goroutine during a run).
-func (s *Server) History() *trainer.History {
+func (s *ServerOf[F]) History() *trainer.History {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	return &s.history
@@ -324,10 +346,10 @@ func (s *Server) History() *trainer.History {
 // Params returns a copy of the current model parameter vector — the
 // wire-path counterpart of cluster.Engine.Params, used to verify
 // trajectory identity between the two paths.
-func (s *Server) Params() []float64 { return s.eng.Params() }
+func (s *ServerOf[F]) Params() []F { return s.eng.Params() }
 
 // Counters returns the cumulative connection-lifecycle totals.
-func (s *Server) Counters() Counters {
+func (s *ServerOf[F]) Counters() Counters {
 	return Counters{
 		Joins:               s.src.joins.Load(),
 		Rejoins:             s.src.rejoins.Load(),
@@ -338,7 +360,7 @@ func (s *Server) Counters() Counters {
 }
 
 // track registers a connection for cancellation teardown.
-func (s *Server) track(c *Conn) {
+func (s *ServerOf[F]) track(c *Conn) {
 	s.mu.Lock()
 	s.conns = append(s.conns, c)
 	s.mu.Unlock()
@@ -348,7 +370,7 @@ func (s *Server) track(c *Conn) {
 // any in-flight Accept/Send/Recv. It marks the source closing first so
 // the pump exits the teardown provokes are not miscounted as
 // evictions — cancellation is a deliberate shutdown.
-func (s *Server) teardown() {
+func (s *ServerOf[F]) teardown() {
 	s.src.markClosing()
 	s.listener.Close()
 	s.mu.Lock()
@@ -371,7 +393,7 @@ func newToken() (uint64, error) {
 // acceptLoop accepts connections for the whole run, handshaking each on
 // its own goroutine: initial joins before round 1, rejoins any time
 // after. It exits when the listener closes (teardown or end of Serve).
-func (s *Server) acceptLoop(ctx context.Context, done chan<- error) {
+func (s *ServerOf[F]) acceptLoop(ctx context.Context, done chan<- error) {
 	for {
 		raw, err := s.listener.Accept()
 		if err != nil {
@@ -379,6 +401,7 @@ func (s *Server) acceptLoop(ctx context.Context, done chan<- error) {
 			return
 		}
 		conn := NewConn(raw)
+		conn.limit = helloFrameLimit
 		s.track(conn)
 		go s.handshake(ctx, conn)
 	}
@@ -388,7 +411,7 @@ func (s *Server) acceptLoop(ctx context.Context, done chan<- error) {
 // handshake rejects this connection only: the listener keeps accepting,
 // so one malformed, duplicate, or stale-token Hello cannot tear down
 // the cluster.
-func (s *Server) handshake(ctx context.Context, conn *Conn) {
+func (s *ServerOf[F]) handshake(ctx context.Context, conn *Conn) {
 	reject := func(format string, args ...any) {
 		s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), fmt.Sprintf(format, args...))
 		conn.Close()
@@ -418,10 +441,11 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		s.rejectVersion(conn, fmt.Sprintf("protocol version %d, want %d", hello.Version, wire.ProtocolVersion))
 		return
 	}
-	if !precisionOffered(hello.Precisions, wire.PrecisionF64) {
-		// This server aggregates at float64; a worker that only speaks
-		// the f32 codec set cannot parse its frames.
-		s.rejectPrecision(conn, hello.WorkerID, wire.PrecisionF64, hello.Precisions)
+	prec := wire.PrecisionOf[F]()
+	if !precisionOffered(hello.Precisions, prec) {
+		// A worker that does not speak this server's width cannot parse
+		// its frames.
+		s.rejectPrecision(conn, hello.WorkerID, prec, hello.Precisions)
 		return
 	}
 	tier := negotiateTier(s.src.uplink, hello.Tiers)
@@ -474,7 +498,7 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		Spec:      s.cfg.Spec,
 		Shards:    ws.shards,
 		Pipeline:  ws.pipeline,
-		Precision: wire.PrecisionF64,
+		Precision: prec,
 	}); err != nil {
 		if !hello.Resume {
 			// Release the reserved slot so the worker id can join again.
@@ -487,6 +511,10 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		reject("welcome: %v", ctxErr(ctx, err))
 		return
 	}
+	// Admitted: from here the connection carries full-size report
+	// frames (read only by its pump, which starts below or at the
+	// rejoin's admission).
+	conn.limit = 0
 	// The Welcome is on the wire: publish the connection. A rejoin is
 	// parked for round-boundary admission (closing any stale live or
 	// previously parked connection — a valid token proves the old
@@ -571,7 +599,7 @@ func negotiateTier(want wire.UplinkTier, mask uint8) wire.UplinkTier {
 // rejectVersion refuses a handshake whose peer announced (or framed)
 // another protocol version, with a typed Reject so a diagnosable record
 // of the mismatch reaches the peer's socket before the close.
-func (s *Server) rejectVersion(conn *Conn, reason string) {
+func (s *ServerOf[F]) rejectVersion(conn *Conn, reason string) {
 	s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), reason)
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
 	if _, err := conn.Send(Reject{Code: RejectVersion, Reason: reason}); err != nil {
@@ -593,7 +621,7 @@ func precisionOffered(mask uint8, p wire.Precision) bool {
 // rejectPrecision refuses a worker whose precision mask excludes the
 // width this server runs at, with a typed Reject so the worker learns
 // the mismatch is a configuration error rather than a transient fault.
-func (s *Server) rejectPrecision(conn *Conn, u int, want wire.Precision, mask uint8) {
+func (s *ServerOf[F]) rejectPrecision(conn *Conn, u int, want wire.Precision, mask uint8) {
 	reason := fmt.Sprintf("worker %d offers precision mask %#x, server runs %s", u, mask, want)
 	s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), reason)
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
@@ -605,7 +633,7 @@ func (s *Server) rejectPrecision(conn *Conn, u int, want wire.Precision, mask ui
 
 // rejectBlacklisted refuses a blacklisted worker's handshake with a
 // typed Reject frame and counts the refusal.
-func (s *Server) rejectBlacklisted(conn *Conn, u int) {
+func (s *ServerOf[F]) rejectBlacklisted(conn *Conn, u int) {
 	s.src.blacklistRejections.Add(1)
 	s.cfg.Logf("rejecting %s: worker %d is blacklisted", conn.RemoteAddr(), u)
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
@@ -620,9 +648,9 @@ func (s *Server) rejectBlacklisted(conn *Conn, u int) {
 
 // evalJob is one background evaluation request: the round it belongs to
 // and a snapshot of the parameters after that round.
-type evalJob struct {
+type evalJob[F linalg.Float] struct {
 	round  int
-	params []float64
+	params []F
 }
 
 // Serve accepts the K workers, runs the configured number of rounds
@@ -640,7 +668,7 @@ type evalJob struct {
 // evaluation history recorded up to that point remains available via
 // History. On every exit path the reader pumps are joined before Serve
 // returns — no goroutine outlives the call.
-func (s *Server) Serve(ctx context.Context) (float64, error) {
+func (s *ServerOf[F]) Serve(ctx context.Context) (float64, error) {
 	s.mu.Lock()
 	s.serving = true
 	s.mu.Unlock()
@@ -683,7 +711,7 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 	// Background evaluation: snapshots stream through evalCh in round
 	// order; the goroutine appends to the history, so the serve loop
 	// never blocks on model evaluation.
-	evalCh := make(chan evalJob, 4)
+	evalCh := make(chan evalJob[F], 4)
 	evalDone := make(chan struct{})
 	go func() {
 		defer close(evalDone)
@@ -741,7 +769,7 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 			s.cfg.OnRound(stats)
 		}
 		if (t+1)%s.cfg.EvalEvery == 0 || t == s.cfg.Spec.Rounds-1 {
-			evalCh <- evalJob{round: t + 1, params: s.eng.Params()}
+			evalCh <- evalJob[F]{round: t + 1, params: s.eng.Params()}
 		}
 	}
 	drainEval()
@@ -834,19 +862,19 @@ type pumpItem struct {
 // is the only reader of its connection, so it owns the per-connection
 // uplink decoder state, and it never sets read deadlines: the round
 // loop's single collection timer is the only clock on the hot path.
-type pump struct {
-	ws   *wireSource
+type pump[F linalg.Float] struct {
+	ws   *wireSource[F]
 	u    int
 	conn *Conn
 	// decs holds one uplink decoder per aggregation shard: a sharded
 	// worker runs one independent delta stream per shard (each with its
 	// own base), mirroring the per-shard encoders on the worker side.
-	decs []wire.UplinkDecoder
+	decs []wire.UplinkDecoderOf[F]
 	// frame is the decode target; its Grads are pointed at the engine's
 	// arena buffers for deliverable reports and at private scratch for
 	// stale ones (the arena slot may be under read by a vote).
-	frame      wire.GradFrame
-	staleGrads [][]float64
+	frame      wire.GradFrameOf[F]
+	staleGrads [][]F
 	// deliveredIter/deliveredMask bound the inbox: at most one report
 	// frame enters it per (connection, round, shard), which keeps a
 	// duplicate frame from being decoded into an arena buffer the
@@ -858,7 +886,7 @@ type pump struct {
 }
 
 // run pumps frames until the connection dies or misbehaves.
-func (p *pump) run() {
+func (p *pump[F]) run() {
 	defer p.ws.pumps.Done()
 	for {
 		msg, err := p.conn.Recv()
@@ -883,7 +911,7 @@ func (p *pump) run() {
 }
 
 // handle processes one gradient report frame in stream order.
-func (p *pump) handle(rep GradientReport) error {
+func (p *pump[F]) handle(rep GradientReport) error {
 	ws := p.ws
 	if rep.WorkerID != p.u {
 		return fmt.Errorf("report claims worker %d", rep.WorkerID)
@@ -949,7 +977,7 @@ func (p *pump) handle(rep GradientReport) error {
 	p.push(pumpItem{
 		kind: pumpReport, u: p.u, conn: p.conn, iter: it, shard: rep.Shard,
 		wireBytes: len(rep.Frame),
-		rawBytes:  wire.UplinkRawSize(len(wf), hi-lo),
+		rawBytes:  wire.UplinkRawSize[F](len(wf), hi-lo),
 	})
 	return nil
 }
@@ -958,7 +986,7 @@ func (p *pump) handle(rep GradientReport) error {
 // uplink decoder into the given target buffers and validates its
 // structure against the worker's static file assignment and the
 // shard's coordinate width.
-func (p *pump) decode(frameBytes []byte, bufs [][]float64, shard int) error {
+func (p *pump[F]) decode(frameBytes []byte, bufs [][]F, shard int) error {
 	ws := p.ws
 	wf := ws.files[p.u]
 	want := ws.shardRanges[shard][1] - ws.shardRanges[shard][0]
@@ -987,12 +1015,12 @@ func (p *pump) decode(frameBytes []byte, bufs [][]float64, shard int) error {
 // frame is decoding it in place. Distinct shards write disjoint ranges
 // of the same rows, so a shard that already landed can be under read
 // by an early vote while later shards still decode.
-func (p *pump) arenaBufs(shard int) [][]float64 {
+func (p *pump[F]) arenaBufs(shard int) [][]F {
 	ws := p.ws
 	wf := ws.files[p.u]
 	lo, hi := ws.shardRanges[shard][0], ws.shardRanges[shard][1]
 	if cap(p.frame.Grads) < len(wf) {
-		p.frame.Grads = make([][]float64, len(wf))
+		p.frame.Grads = make([][]F, len(wf))
 	}
 	bufs := p.frame.Grads[:len(wf)]
 	for j := range wf {
@@ -1008,18 +1036,18 @@ func (p *pump) arenaBufs(shard int) [][]float64 {
 // scratchBufs are the pump-private decode targets for stale frames:
 // the arena slot may be under concurrent read by the round that just
 // missed this worker, so late frames must not touch it.
-func (p *pump) scratchBufs(shard int) [][]float64 {
+func (p *pump[F]) scratchBufs(shard int) [][]F {
 	ws := p.ws
 	wf := ws.files[p.u]
 	if p.staleGrads == nil {
-		p.staleGrads = make([][]float64, len(wf))
+		p.staleGrads = make([][]F, len(wf))
 		for j := range p.staleGrads {
-			p.staleGrads[j] = make([]float64, ws.dim)
+			p.staleGrads[j] = make([]F, ws.dim)
 		}
 	}
 	lo, hi := ws.shardRanges[shard][0], ws.shardRanges[shard][1]
 	if cap(p.frame.Grads) < len(wf) {
-		p.frame.Grads = make([][]float64, len(wf))
+		p.frame.Grads = make([][]F, len(wf))
 	}
 	bufs := p.frame.Grads[:len(wf)]
 	for j := range wf {
@@ -1030,7 +1058,7 @@ func (p *pump) scratchBufs(shard int) [][]float64 {
 
 // push forwards an item to the collection inbox, giving up when the
 // source shuts down (the only state in which the inbox can stay full).
-func (p *pump) push(item pumpItem) {
+func (p *pump[F]) push(item pumpItem) {
 	select {
 	case p.ws.inbox <- item:
 	case <-p.ws.stopCh:
@@ -1040,7 +1068,7 @@ func (p *pump) push(item pumpItem) {
 // notifyDeath posts a death notice so an in-flight collection stops
 // waiting for this worker immediately instead of running out the
 // deadline.
-func (p *pump) notifyDeath(err error) {
+func (p *pump[F]) notifyDeath(err error) {
 	p.push(pumpItem{kind: pumpDeath, u: p.u, conn: p.conn, err: err})
 }
 
@@ -1052,12 +1080,12 @@ func (p *pump) notifyDeath(err error) {
 // reach the collection loop; absent or misbehaving workers are marked
 // missing so the round core's quorum rule decides the fate of their
 // files.
-type wireSource struct {
+type wireSource[F linalg.Float] struct {
 	timeout   time.Duration
 	fullEvery int
 	logf      func(format string, args ...any)
 
-	eng *cluster.Engine
+	eng *cluster.EngineOf[F]
 	dim int
 
 	// fleet is the per-worker status table (set by NewServer, never
@@ -1136,7 +1164,7 @@ type wireSource struct {
 	shardLeft []int
 	// prevParams is the parameter vector broadcast last round (the
 	// delta base); prevIter the iteration it belongs to (-1 = none).
-	prevParams []float64
+	prevParams []F
 	prevIter   int
 	// fullFrame/deltaFrame are the per-round broadcast encode buffers,
 	// shared read-only by every send goroutine of the round.
@@ -1175,8 +1203,8 @@ type wireSource struct {
 
 // newWireSource prepares the per-worker state tables. shards must
 // already be clamped to [1, dim] (wire.ShardCount).
-func newWireSource(asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, pipeline bool, rounds int, logf func(string, ...any)) *wireSource {
-	ws := &wireSource{
+func newWireSource[F linalg.Float](asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, pipeline bool, rounds int, logf func(string, ...any)) *wireSource[F] {
+	ws := &wireSource[F]{
 		timeout:   timeout,
 		fullEvery: fullEvery,
 		logf:      logf,
@@ -1238,7 +1266,7 @@ func newWireSource(asn *assign.Assignment, timeout time.Duration, fullEvery, sha
 
 // bind attaches the engine whose arena the pumps decode into and
 // derives the shard coordinate ranges from the model dimension.
-func (ws *wireSource) bind(eng *cluster.Engine, dim int) {
+func (ws *wireSource[F]) bind(eng *cluster.EngineOf[F], dim int) {
 	ws.eng = eng
 	ws.dim = dim
 	ws.shardRanges = make([][2]int, ws.shards)
@@ -1251,12 +1279,12 @@ func (ws *wireSource) bind(eng *cluster.Engine, dim int) {
 // startPump launches worker u's reader goroutine for conn. Callers
 // must hold ws.mu (which is what orders the pumps.Add against
 // shutdown's closing check).
-func (ws *wireSource) startPump(u int, conn *Conn) {
+func (ws *wireSource[F]) startPump(u int, conn *Conn) {
 	if ws.closing {
 		return
 	}
 	ws.pumps.Add(1)
-	p := &pump{ws: ws, u: u, conn: conn, deliveredIter: -1, decs: make([]wire.UplinkDecoder, ws.shards)}
+	p := &pump[F]{ws: ws, u: u, conn: conn, deliveredIter: -1, decs: make([]wire.UplinkDecoderOf[F], ws.shards)}
 	for s := range p.decs {
 		p.decs[s].Tier = ws.workers[u].tier
 	}
@@ -1264,14 +1292,14 @@ func (ws *wireSource) startPump(u int, conn *Conn) {
 }
 
 // liveConn returns worker u's current live connection (nil when down).
-func (ws *wireSource) liveConn(u int) *Conn {
+func (ws *wireSource[F]) liveConn(u int) *Conn {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.workers[u].conn
 }
 
 // joinedWorkers reports how many workers have completed a first join.
-func (ws *wireSource) joinedWorkers() int {
+func (ws *wireSource[F]) joinedWorkers() int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.joinedCount
@@ -1284,7 +1312,7 @@ func (ws *wireSource) joinedWorkers() int {
 // source into closing mode before returning, so workers hanging up
 // after reading the Shutdown are not miscounted as evictions (the flip
 // must precede the Shutdown sends, or a fast worker's EOF races it).
-func (ws *wireSource) shutdownConns() []*Conn {
+func (ws *wireSource[F]) shutdownConns() []*Conn {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	var out []*Conn
@@ -1308,14 +1336,14 @@ func (ws *wireSource) shutdownConns() []*Conn {
 // markClosing flips the source into closing mode exactly once: no new
 // pumps start, pump exits stop counting as evictions, and blocked
 // inbox pushes release.
-func (ws *wireSource) markClosing() {
+func (ws *wireSource[F]) markClosing() {
 	ws.mu.Lock()
 	ws.markClosingLocked()
 	ws.mu.Unlock()
 }
 
 // markClosingLocked is markClosing with ws.mu already held.
-func (ws *wireSource) markClosingLocked() {
+func (ws *wireSource[F]) markClosingLocked() {
 	if !ws.closing {
 		ws.closing = true
 		close(ws.stopCh)
@@ -1325,7 +1353,7 @@ func (ws *wireSource) markClosingLocked() {
 // drain marks shutdown and joins the pumps without force-closing
 // connections — each exits on its worker's EOF or its read deadline,
 // so workers get to read the final Shutdown.
-func (ws *wireSource) drain() {
+func (ws *wireSource[F]) drain() {
 	ws.markClosing()
 	ws.pumps.Wait()
 }
@@ -1333,7 +1361,7 @@ func (ws *wireSource) drain() {
 // shutdown closes every worker connection and joins every reader pump.
 // It runs on every Serve exit path, making teardown deterministic: no
 // pump goroutine outlives Serve.
-func (ws *wireSource) shutdown() {
+func (ws *wireSource[F]) shutdown() {
 	ws.mu.Lock()
 	ws.markClosingLocked()
 	for u := range ws.workers {
@@ -1355,7 +1383,7 @@ func (ws *wireSource) shutdown() {
 // the "next round boundary" of the rejoin handshake — and starts their
 // reader pumps. Re-admitted workers have lastAck reset so this round
 // sends them the full vector. Returns how many workers were admitted.
-func (ws *wireSource) admitPending(t int) int {
+func (ws *wireSource[F]) admitPending(t int) int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	admitted := 0
@@ -1391,7 +1419,7 @@ func (ws *wireSource) admitPending(t int) int {
 // accounted for — delivered, explicitly skipping, or dead. The pumps
 // have already decoded deliverable reports into the engine's arena, so
 // this loop only attributes results; it never touches a socket.
-func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.CollectStats, error) {
+func (ws *wireSource[F]) Collect(ctx context.Context, rd *cluster.RoundOf[F]) (cluster.CollectStats, error) {
 	t := rd.Iteration()
 	rejoins := ws.admitPending(t)
 	// Open the round for the pumps: reports for t are deliverable,
@@ -1607,7 +1635,7 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 	// Roll the delta base forward: next round's deltas patch this
 	// round's vector.
 	if ws.prevParams == nil {
-		ws.prevParams = make([]float64, len(rd.Params()))
+		ws.prevParams = make([]F, len(rd.Params()))
 	}
 	copy(ws.prevParams, rd.Params())
 	ws.prevIter = t
@@ -1633,7 +1661,7 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 // frame (always needed for unacknowledged or refresh rounds) and the
 // delta frame against the previous round's vector when any worker can
 // use it. Both buffers are read-only for the round.
-func (ws *wireSource) prepareBroadcast(t int, params []float64) error {
+func (ws *wireSource[F]) prepareBroadcast(t int, params []F) error {
 	var err error
 	ws.fullFrame, err = wire.AppendParamsFull(ws.fullFrame[:0], params)
 	if err != nil {
@@ -1667,7 +1695,7 @@ func (ws *wireSource) prepareBroadcast(t int, params []float64) error {
 }
 
 // refreshRound reports whether round t is a full-broadcast refresh.
-func (ws *wireSource) refreshRound(t int) bool {
+func (ws *wireSource[F]) refreshRound(t int) bool {
 	return t == 0 || ws.fullEvery <= 1 || t%ws.fullEvery == 0
 }
 
@@ -1678,7 +1706,7 @@ func (ws *wireSource) refreshRound(t int) bool {
 // (fresh join, rejoin, or a lost prep) falls back to the self-contained
 // per-worker encode. A non-nil prepFrame (round t+1's sample lists for
 // this worker's replication group) rides the same vectored write.
-func (ws *wireSource) sendRoundStart(t, u int, conn *Conn, lastAck int, rd *cluster.Round, prepped bool, prepFrame []byte) (int, error) {
+func (ws *wireSource[F]) sendRoundStart(t, u int, conn *Conn, lastAck int, rd *cluster.RoundOf[F], prepped bool, prepFrame []byte) (int, error) {
 	if ws.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(ws.timeout))
 		defer conn.SetWriteDeadline(time.Time{})
@@ -1714,7 +1742,7 @@ func (ws *wireSource) sendRoundStart(t, u int, conn *Conn, lastAck int, rd *clus
 // iter-1's RoundStart, so pipelining the prep costs no extra syscalls,
 // send goroutines, or barriers. A failed combined write evicts exactly
 // like a failed RoundStart send; the worker rejoins unprepped.
-func (ws *wireSource) PrepareNext(iter int, files [][]int) {
+func (ws *wireSource[F]) PrepareNext(iter int, files [][]int) {
 	ws.prepReady = -1
 	if !ws.pipeline || iter >= ws.rounds {
 		return
@@ -1737,7 +1765,7 @@ func (ws *wireSource) PrepareNext(iter int, files [][]int) {
 }
 
 // ack records that worker u applied round t's parameter broadcast.
-func (ws *wireSource) ack(u, t int) {
+func (ws *wireSource[F]) ack(u, t int) {
 	ws.mu.Lock()
 	ws.workers[u].lastAck = t
 	ws.mu.Unlock()
@@ -1748,7 +1776,7 @@ func (ws *wireSource) ack(u, t int) {
 // handshake — even with the valid session token — is refused with a
 // typed Reject. The closed connection's pump exit is not double-counted
 // as an eviction (the slot is already cleared).
-func (ws *wireSource) blacklist(u int) {
+func (ws *wireSource[F]) blacklist(u int) {
 	ws.mu.Lock()
 	w := &ws.workers[u]
 	w.blacklisted = true
@@ -1771,7 +1799,7 @@ func (ws *wireSource) blacklist(u int) {
 // missing up front — until it rejoins with its session token. During
 // shutdown the same path runs silently (pump exits are expected).
 // Safe for concurrent calls on distinct or identical workers.
-func (ws *wireSource) evict(u int, conn *Conn, err error) {
+func (ws *wireSource[F]) evict(u int, conn *Conn, err error) {
 	conn.Close()
 	ws.mu.Lock()
 	live := ws.workers[u].conn == conn

@@ -168,13 +168,8 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 			return
 		}
 		defer func() { conn.Close() }()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
-		st.spec = welcome.Spec
-		if st.mdl, err = st.spec.BuildModel(); err != nil {
-			t.Error(err)
-			return
-		}
-		if st.train, _, err = st.spec.BuildData(); err != nil {
+		st, err := manualWorker(victim, welcome.Spec, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
@@ -182,12 +177,10 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st.params = make([]float64, st.mdl.NumParams())
 		st.pipeline = welcome.Pipeline
 		st.prepIter = -1
 		st.filesStatic = st.asn.WorkerFiles(victim)
 		st.token = welcome.Token
-		initManualWorkerShards(st, welcome)
 		dropped := false
 		for {
 			msg, err := conn.Recv()

@@ -2,10 +2,13 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -438,18 +441,12 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 // and delta parameter broadcasts exactly like RunWorker.
 func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 	t.Helper()
-	st := &workerState{cfg: WorkerConfig{ID: id, Behavior: BehaviorHonest}, lastApplied: -1}
-	var err error
-	if st.mdl, err = spec.BuildModel(); err != nil {
-		return err
-	}
-	if st.train, _, err = spec.BuildData(); err != nil {
-		return err
-	}
-	st.params = make([]float64, st.mdl.NumParams())
 	// Unsharded raw-frame uplink: raw frames decode under any server
 	// delta policy.
-	initManualWorkerShards(st, Welcome{})
+	st, err := manualWorker(id, spec, Welcome{})
+	if err != nil {
+		return err
+	}
 	for {
 		msg, err := c.Recv()
 		if err != nil {
@@ -503,4 +500,113 @@ func TestSpecBuilders(t *testing.T) {
 	if tr.Len() != 400 || te.Len() != 100 {
 		t.Error("data sizes wrong")
 	}
+}
+
+// TestPreAdmissionFrameCap: a raw socket whose first frame header
+// declares a 256 MiB payload is refused before any Hello without the
+// server allocating the body — N idle sockets must not pin N×256 MiB.
+func TestPreAdmissionFrameCap(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: testSpec(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		srv.Serve(ctx)
+	}()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	hdr, _ := wire.BeginFrame(nil, msgHello)
+	binary.LittleEndian.PutUint32(hdr[4:], wire.MaxFramePayload)
+	if _, err := raw.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	// The server must hang up on the header alone.
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server answered an oversized pre-admission frame")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept the connection open waiting for a 256 MiB body")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("server allocated %d bytes for an unadmitted frame", grew)
+	}
+	cancel()
+	<-serveDone
+}
+
+// TestSpecBudget: a Spec past the resource budgets is refused by
+// NewServer, and a worker handed one in a Welcome refuses it before
+// building any dataset or model.
+func TestSpecBudget(t *testing.T) {
+	huge := testSpec(2)
+	huge.TrainN = 1 << 30
+	if _, err := NewServer("127.0.0.1:0", ServerConfig{Spec: huge}); err == nil {
+		t.Fatal("NewServer accepted a Spec past the budget")
+	}
+	ok := testSpec(2)
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("test spec rejected: %v", err)
+	}
+
+	// A hostile PS: answer the Hello with an oversized Welcome Spec.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c := NewConn(raw)
+		defer c.Close()
+		if _, err := c.Recv(); err != nil {
+			return
+		}
+		spec := testSpec(2)
+		spec.Dim = 1 << 20
+		spec.Classes = 1 << 12
+		c.Send(Welcome{Version: wire.ProtocolVersion, Token: 1, Spec: spec})
+		c.Recv() // hold the conn until the worker hangs up
+	}()
+	_, err = RunWorker(context.Background(), ln.Addr().String(), WorkerConfig{ID: 0, ReconnectAttempts: -1})
+	if err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("worker accepted an oversized Welcome Spec: %v", err)
+	}
+}
+
+// FuzzDecodeMessage feeds arbitrary frame bodies of every message type
+// to the decoder: it must return a message or an error, never panic.
+func FuzzDecodeMessage(f *testing.F) {
+	for _, m := range []Message{
+		Hello{WorkerID: 1, Version: wire.ProtocolVersion, Tiers: wire.AllTiersMask},
+		Welcome{Version: wire.ProtocolVersion, Spec: testSpec(2)},
+		RoundStart{Iteration: 1, ParamsFrame: []byte{1, 2}, Files: map[int][]int{0: {1, 2}}},
+		GradientReport{WorkerID: 1, Frame: []byte{1}},
+		RoundPrep{Iteration: 2, Samples: [][]int{{1}}},
+		Reject{Code: RejectVersion, Reason: "x"},
+		Shutdown{FinalAccuracy: 0.5},
+	} {
+		body, err := m.appendPayload(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(m.wireType(), body)
+	}
+	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
+		decodeMessage(typ, body)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"byzshield/internal/advnet"
@@ -114,10 +115,18 @@ type SharedWorkerState struct {
 	train *data.Dataset
 	flt   fault.Fault
 	asn   *assign.Assignment
+
+	// bound caches the model's kernels per precision (a float32 bind
+	// narrows the dataset once for the whole fleet).
+	mu    sync.Mutex
+	bound [2]any
 }
 
 // NewSharedWorkerState builds the shareable worker state for spec.
 func NewSharedWorkerState(spec Spec) (*SharedWorkerState, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	s := &SharedWorkerState{}
 	var err error
 	if s.mdl, err = spec.BuildModel(); err != nil {
@@ -135,20 +144,58 @@ func NewSharedWorkerState(spec Spec) (*SharedWorkerState, error) {
 	return s, nil
 }
 
-// workerState is the durable cross-connection state of one worker
-// process: everything a rejoin must not lose.
-type workerState struct {
-	cfg   WorkerConfig
-	spec  Spec
-	mdl   model.Model
-	train *data.Dataset
-	flt   fault.Fault
+// sharedBound returns sh's model kernels at width F, binding them on
+// first use.
+func sharedBound[F linalg.Float](sh *SharedWorkerState) (*model.Bound[F], error) {
+	p := wire.PrecisionOf[F]()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if b, ok := sh.bound[p].(*model.Bound[F]); ok {
+		return b, nil
+	}
+	b, err := model.Bind[F](sh.mdl, sh.train)
+	if err != nil {
+		return nil, err
+	}
+	sh.bound[p] = b
+	return b, nil
+}
+
+// worker is the durable cross-connection state of one worker process:
+// everything a rejoin must not lose that does not depend on the
+// connection's precision.
+type worker struct {
+	cfg WorkerConfig
 	// token is the session token the last Welcome assigned.
 	token uint64
+	spec  Spec
+	flt   fault.Fault
+	asn   *assign.Assignment
+	// rounds serves rounds at the precision the first Welcome pinned
+	// (a *workerState[F]); nil before the first handshake.
+	rounds roundServer
+	// side is the adversary sidecar state (nil outside coalitions).
+	side *sidecar
+	// ins is the worker-side metric state (nil with metrics disabled;
+	// every method is nil-safe).
+	ins *workerInstruments
+}
+
+// roundServer is a width-instantiated round loop: it serves rounds on
+// one handshaken connection until Shutdown or a connection failure.
+type roundServer interface {
+	serve(ctx context.Context, conn *Conn, welcome *Welcome) (float64, error)
+}
+
+// workerState is the width-F half of a worker: the parameter vector,
+// the model kernels, and the per-connection codec and report scratch.
+type workerState[F linalg.Float] struct {
+	*worker
+	train *model.Bound[F]
 	// params is the worker's copy of the model vector, patched in place
 	// by delta broadcasts; lastApplied is the iteration whose broadcast
 	// it reflects (-1 before any).
-	params      []float64
+	params      []F
 	lastApplied int
 	// shards/ranges mirror the Welcome's shard plane: the worker ships
 	// one report frame per shard, each covering its contiguous
@@ -160,7 +207,7 @@ type workerState struct {
 	// ships raw.
 	shards int
 	ranges [][2]int
-	encs   []wire.UplinkEncoder
+	encs   []wire.UplinkEncoderOf[F]
 	frames [][]byte
 	reps   []GradientReport
 	msgs   []Message
@@ -177,27 +224,9 @@ type workerState struct {
 	// scratch, reused across rounds; shardGrads holds per-shard subslice
 	// headers over grads' full-dimension rows.
 	files       []int
-	grads       [][]float64
-	shardGrads  [][]float64
+	grads       [][]F
+	shardGrads  [][]F
 	sampleLists [][]int
-	// adv is the sidecar coalition connection (nil outside coalitions);
-	// the fields below are the leader's deterministic reconstruction of
-	// the batch stream — its own sampler fast-forwarded to the current
-	// round — plus the moment and payload scratch every member shares.
-	adv         *advnet.Client
-	asn         *assign.Assignment
-	sampler     *data.BatchSampler
-	sampledIter int
-	fileParts   [][]int
-	trueGrads   [][]float64
-	muBuf       []float64
-	sigmaBuf    []float64
-	moments     wire.MomentFrame
-	atkCtx      attack.Context
-	atkScr      attack.Scratch
-	// ins is the worker-side metric state (nil with metrics disabled;
-	// every method is nil-safe).
-	ins *workerInstruments
 }
 
 // RunWorker connects to the PS at addr and participates in training
@@ -219,7 +248,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 	if attempts == 0 {
 		attempts = DefaultReconnectAttempts
 	}
-	st := &workerState{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1, sampledIter: -1}
+	st := &worker{cfg: cfg, token: cfg.ResumeToken}
 	if cfg.Metrics != nil {
 		st.ins = newWorkerInstruments(cfg.Metrics)
 	}
@@ -232,7 +261,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 			return 0, err
 		}
 		defer adv.Close()
-		st.adv = adv
+		st.side = &sidecar{adv: adv, id: cfg.ID, sampledIter: -1}
 		cfg.Logf("worker %d: adversary coalition %v, leader %d", cfg.ID, adv.MemberIDs(), adv.Leader())
 	}
 	failures := 0
@@ -246,7 +275,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 		}
 	}()
 	for {
-		final, err := runWorkerConn(ctx, addr, st)
+		final, err := st.runConn(ctx, addr)
 		var re retryableErr
 		switch {
 		case err == nil:
@@ -297,11 +326,11 @@ func (e retryableErr) Unwrap() error { return e.err }
 // retryable marks err as recoverable by reconnecting.
 func retryable(err error) error { return retryableErr{err: err} }
 
-// runWorkerConn runs one connection's lifetime: dial, Hello/Welcome
+// runConn runs one connection's lifetime: dial, Hello/Welcome
 // (resuming with the session token when st already has one), then
 // rounds until Shutdown or a connection failure. On a successful
 // session (Shutdown received) it returns the final accuracy.
-func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, error) {
+func (st *worker) runConn(ctx context.Context, addr string) (float64, error) {
 	cfg := st.cfg
 	var dialer net.Dialer
 	raw, err := dialer.DialContext(ctx, "tcp", addr)
@@ -324,9 +353,9 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 		Token:    st.token,
 		Resume:   resume,
 		Tiers:    tiers,
-		// This worker computes at float64 only; the f32 tier has its own
-		// worker type (Worker32).
-		Precisions: wire.PrecisionF64.Mask(),
+		// The worker computes at either width; the server's Welcome
+		// pins the connection's precision.
+		Precisions: wire.AllPrecisionsMask,
 	}); err != nil {
 		return 0, retryable(ctxErr(ctx, err))
 	}
@@ -355,12 +384,87 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 		return 0, fmt.Errorf("transport: server negotiated uplink tier %s outside the offered mask %#x",
 			welcome.Uplink, tiers)
 	}
-	if welcome.Precision != wire.PrecisionF64 {
-		return 0, fmt.Errorf("transport: server negotiated precision %s outside the offered f64-only mask",
-			welcome.Precision)
+	if !welcome.Precision.Valid() {
+		return 0, fmt.Errorf("transport: server negotiated unknown precision %d", welcome.Precision)
+	}
+	if welcome.Precision != wire.PrecisionF64 && st.side != nil {
+		return 0, fmt.Errorf("transport: worker %d: the adversary sidecar runs at f64 only, server runs %s",
+			cfg.ID, welcome.Precision)
 	}
 	st.token = welcome.Token
 	st.ins.tierNegotiated(int32(welcome.Uplink))
+	if st.rounds == nil {
+		// First successful handshake: build the deterministic local
+		// state from the Spec — or adopt the process-shared copy — at
+		// the precision the server pinned. Rejoins keep it (same Spec,
+		// same run).
+		if err := welcome.Spec.Validate(); err != nil {
+			return 0, err
+		}
+		st.spec = welcome.Spec
+		switch welcome.Precision {
+		case wire.PrecisionF32:
+			st.rounds, err = newWorkerState[float32](st)
+		default:
+			st.rounds, err = newWorkerState[float64](st)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	// The session token is logged on every (re)join — the server
+	// rotates it per handshake, so a restarted process must present the
+	// latest one (byzworker -resume-token).
+	if resume {
+		cfg.Logf("worker %d: rejoined (%s, %s; session token %#x)", cfg.ID, st.spec.Scheme, welcome.Precision, st.token)
+	} else {
+		cfg.Logf("worker %d: joined (%s, %d rounds, %s; session token %#x)",
+			cfg.ID, st.spec.Scheme, st.spec.Rounds, welcome.Precision, st.token)
+	}
+	return st.rounds.serve(ctx, conn, &welcome)
+}
+
+// newWorkerState builds the width-F round state from the worker's Spec.
+func newWorkerState[F linalg.Float](w *worker) (*workerState[F], error) {
+	st := &workerState[F]{worker: w, lastApplied: -1}
+	var (
+		mdl   model.Model
+		train *data.Dataset
+		err   error
+	)
+	if sh := w.cfg.Shared; sh != nil {
+		w.flt, w.asn = sh.flt, sh.asn
+		mdl, train = sh.mdl, sh.train
+		if st.train, err = sharedBound[F](sh); err != nil {
+			return nil, err
+		}
+	} else {
+		if mdl, err = w.spec.BuildModel(); err != nil {
+			return nil, err
+		}
+		if train, _, err = w.spec.BuildData(); err != nil {
+			return nil, err
+		}
+		if st.train, err = model.Bind[F](mdl, train); err != nil {
+			return nil, err
+		}
+		if w.flt, err = w.spec.BuildFault(); err != nil {
+			return nil, err
+		}
+	}
+	// The sidecar (admitted at f64 only) replays the batch stream on the
+	// same float64 model and training set.
+	if w.side != nil {
+		w.side.mdl, w.side.train = mdl, train
+	}
+	st.params = make([]F, st.train.Model().NumParams())
+	return st, nil
+}
+
+// serve adopts one handshaken connection's negotiated plane and serves
+// its rounds until Shutdown or a connection failure.
+func (st *workerState[F]) serve(ctx context.Context, conn *Conn, welcome *Welcome) (float64, error) {
+	cfg := st.cfg
 	shards := welcome.Shards
 	if shards == 0 {
 		shards = 1
@@ -371,34 +475,14 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 	if st.shards != 0 && shards != st.shards {
 		return 0, fmt.Errorf("transport: server changed shard count %d → %d across rejoin", st.shards, shards)
 	}
-	if st.mdl == nil {
-		// First successful handshake: build the deterministic local
-		// state from the Spec — or adopt the process-shared copy.
-		// Rejoins keep it (same Spec, same run).
-		st.spec = welcome.Spec
-		if sh := cfg.Shared; sh != nil {
-			st.mdl, st.train, st.flt, st.asn = sh.mdl, sh.train, sh.flt, sh.asn
-		} else {
-			if st.mdl, err = st.spec.BuildModel(); err != nil {
-				return 0, err
-			}
-			if st.train, _, err = st.spec.BuildData(); err != nil {
-				return 0, err
-			}
-			if st.flt, err = st.spec.BuildFault(); err != nil {
-				return 0, err
-			}
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-	}
 	if st.shards == 0 {
 		st.shards = shards
 		st.ranges = make([][2]int, shards)
-		dim := st.mdl.NumParams()
+		dim := len(st.params)
 		for s := range st.ranges {
 			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
 		}
-		st.encs = make([]wire.UplinkEncoder, shards)
+		st.encs = make([]wire.UplinkEncoderOf[F], shards)
 		st.frames = make([][]byte, shards)
 		st.reps = make([]GradientReport, shards)
 		st.msgs = make([]Message, shards)
@@ -418,6 +502,7 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 	// the self-contained Files path until its next prep lands.
 	st.prepIter = -1
 	if st.pipeline && st.asn == nil {
+		var err error
 		if st.asn, err = st.spec.BuildAssignment(); err != nil {
 			return 0, err
 		}
@@ -428,15 +513,6 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 	// A (re)connected worker holds no acknowledged vector: the server
 	// sends a full broadcast first, so stale params are never patched.
 	st.lastApplied = -1
-	// The session token is logged on every (re)join — the server
-	// rotates it per handshake, so a restarted process must present the
-	// latest one (byzworker -resume-token).
-	if resume {
-		cfg.Logf("worker %d: rejoined (%s; session token %#x)", cfg.ID, st.spec.Scheme, st.token)
-	} else {
-		cfg.Logf("worker %d: joined (%s, %d rounds; session token %#x)",
-			cfg.ID, st.spec.Scheme, st.spec.Rounds, st.token)
-	}
 
 	// One reused fault-delay timer for the connection's lifetime: a bare
 	// time.After per delayed round would leak a live timer whenever ctx
@@ -536,7 +612,7 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 // broadcast frame: a full frame overwrites it, a delta frame XORs onto
 // the base iteration it names — which must be exactly what this worker
 // holds.
-func (st *workerState) applyParams(m *RoundStart) error {
+func (st *workerState[F]) applyParams(m *RoundStart) error {
 	if len(m.ParamsFrame) == 0 {
 		return fmt.Errorf("transport: round %d carried no parameter frame", m.Iteration)
 	}
@@ -564,7 +640,7 @@ func (st *workerState) applyParams(m *RoundStart) error {
 // must be preceded by its RoundPrep on this same connection — if that
 // prep was lost the error is retryable, because the server serves a
 // reconnected worker the self-contained path.
-func (st *workerState) roundWork(m *RoundStart) (files []int, samples [][]int, err error) {
+func (st *workerState[F]) roundWork(m *RoundStart) (files []int, samples [][]int, err error) {
 	if len(m.Files) > 0 {
 		files = st.files[:0]
 		for v := range m.Files {
@@ -602,11 +678,11 @@ func (st *workerState) roundWork(m *RoundStart) (files []int, samples [][]int, e
 // its shard's uplink codec (raw or XOR-delta against the previous
 // report, whichever is smaller). The returned messages alias the
 // state's scratch and are valid until the next computeReport call.
-func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]Message, error) {
+func (st *workerState[F]) computeReport(iter int, files []int, samples [][]int) ([]Message, error) {
 	cfg := st.cfg
-	dim := st.mdl.NumParams()
+	dim := len(st.params)
 	if cap(st.grads) < len(files) {
-		st.grads = make([][]float64, len(files))
+		st.grads = make([][]F, len(files))
 	}
 	grads := st.grads[:len(files)]
 	st.grads = grads
@@ -615,23 +691,26 @@ func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]
 	// per-file loop.
 	var alie []float64
 	if cfg.Behavior == BehaviorALIE {
+		// The sidecar is float64-only (the handshake refuses it at any
+		// other precision), so params is the float64 vector here.
+		params, _ := any(st.params).([]float64)
 		var err error
-		if alie, err = st.aliePayload(iter); err != nil {
+		if alie, err = st.side.payload(st.worker, iter, params); err != nil {
 			return nil, err
 		}
 	}
 	for i := range files {
 		if cap(grads[i]) < dim {
-			grads[i] = make([]float64, dim)
+			grads[i] = make([]F, dim)
 		}
 		g := grads[i][:dim]
 		grads[i] = g
 		clear(g)
 		switch cfg.Behavior {
 		case BehaviorHonest:
-			st.mdl.SumGradient(st.params, st.train, samples[i], g)
+			st.train.SumGradient(st.params, samples[i], g)
 		case BehaviorReversed, BehaviorSignFlip:
-			st.mdl.SumGradient(st.params, st.train, samples[i], g)
+			st.train.SumGradient(st.params, samples[i], g)
 			for i := range g {
 				g[i] = -g[i]
 			}
@@ -641,18 +720,20 @@ func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]
 				val = -1
 			}
 			for i := range g {
-				g[i] = val
+				g[i] = F(val)
 			}
 		case BehaviorZero:
 			// zeros (crash-like)
 		case BehaviorALIE:
-			copy(g, alie)
+			for i, v := range alie {
+				g[i] = F(v)
+			}
 		default:
 			return nil, fmt.Errorf("transport: unknown behavior %q", cfg.Behavior)
 		}
 	}
 	if cap(st.shardGrads) < len(files) {
-		st.shardGrads = make([][]float64, len(files))
+		st.shardGrads = make([][]F, len(files))
 	}
 	sg := st.shardGrads[:len(files)]
 	st.shardGrads = sg
@@ -672,20 +753,45 @@ func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]
 	return st.msgs, nil
 }
 
-// aliePayload crafts the round's ALIE vector through the sidecar
-// coalition. The z factor matches the in-process attack: ZMax over the
-// cluster size (Spec.K, which the server pins to the assignment's K
-// before Welcome) and the coalition size the share reports.
-func (st *workerState) aliePayload(round int) ([]float64, error) {
-	st.atkCtx = attack.Context{
+// sidecar is a coalition member's float64 adversary state: the hub
+// connection, plus the leader's deterministic reconstruction of the
+// batch stream — its own sampler fast-forwarded to the current round —
+// and the moment and payload scratch every member shares.
+type sidecar struct {
+	adv *advnet.Client
+	id  int
+	// mdl and train are the worker's float64 model and training set
+	// (newWorkerState).
+	mdl         model.Model
+	train       *data.Dataset
+	params      []float64
+	sampler     *data.BatchSampler
+	sampledIter int
+	fileParts   [][]int
+	trueGrads   [][]float64
+	muBuf       []float64
+	sigmaBuf    []float64
+	moments     wire.MomentFrame
+	atkCtx      attack.Context
+	atkScr      attack.Scratch
+}
+
+// payload crafts the round's ALIE vector through the sidecar coalition
+// from the worker's current parameters. The z factor matches the
+// in-process attack: ZMax over the cluster size (Spec.K, which the
+// server pins to the assignment's K before Welcome) and the coalition
+// size the share reports.
+func (sc *sidecar) payload(w *worker, round int, params []float64) ([]float64, error) {
+	sc.params = params
+	sc.atkCtx = attack.Context{
 		Round:             round,
-		Dim:               st.mdl.NumParams(),
-		Participants:      st.spec.K,
-		ExpectedCorrupted: st.adv.Members(),
+		Dim:               len(params),
+		Participants:      w.spec.K,
+		ExpectedCorrupted: sc.adv.Members(),
 	}
-	craft, err := attack.BeginWith(attack.ALIE{ZOverride: st.cfg.ALIEZ}, &st.atkCtx, &st.atkScr, advCoordinator{st})
+	craft, err := attack.BeginWith(attack.ALIE{ZOverride: w.cfg.ALIEZ}, &sc.atkCtx, &sc.atkScr, advCoordinator{sc, w})
 	if err != nil {
-		return nil, fmt.Errorf("transport: worker %d round %d: %w", st.cfg.ID, round, err)
+		return nil, fmt.Errorf("transport: worker %d round %d: %w", sc.id, round, err)
 	}
 	return craft(0, nil), nil
 }
@@ -696,32 +802,35 @@ func (st *workerState) aliePayload(round int) ([]float64, error) {
 // hub's broadcast, so the whole coalition (and, by the bit-exact codec,
 // the in-process omniscient attacker) agrees on the payload
 // bit-for-bit.
-type advCoordinator struct{ st *workerState }
+type advCoordinator struct {
+	sc *sidecar
+	w  *worker
+}
 
 // RoundMoments implements attack.Coordinator.
 func (c advCoordinator) RoundMoments(ctx *attack.Context) (attack.Moments, error) {
-	st := c.st
-	if st.adv.IsLeader() {
-		mu, sigma, err := st.reconstructMoments(ctx.Round)
+	sc := c.sc
+	if sc.adv.IsLeader() {
+		mu, sigma, err := sc.reconstructMoments(c.w, ctx.Round)
 		if err != nil {
 			return attack.Moments{}, err
 		}
-		st.moments = wire.MomentFrame{Round: ctx.Round, Members: st.adv.Members(), Mu: mu, Sigma: sigma}
-		if err := st.adv.Publish(&st.moments); err != nil {
+		sc.moments = wire.MomentFrame{Round: ctx.Round, Members: sc.adv.Members(), Mu: mu, Sigma: sigma}
+		if err := sc.adv.Publish(&sc.moments); err != nil {
 			return attack.Moments{}, err
 		}
 	}
-	// Decoding the share back into st.moments reuses its buffers; for
+	// Decoding the share back into sc.moments reuses its buffers; for
 	// the leader those hold the just-published values, which the decoded
 	// bits reproduce exactly.
-	if err := st.adv.AwaitShare(ctx.Round, &st.moments); err != nil {
+	if err := sc.adv.AwaitShare(ctx.Round, &sc.moments); err != nil {
 		return attack.Moments{}, err
 	}
 	return attack.Moments{
-		Round:   st.moments.Round,
-		Members: st.moments.Members,
-		Mu:      st.moments.Mu,
-		Sigma:   st.moments.Sigma,
+		Round:   sc.moments.Round,
+		Members: sc.moments.Members,
+		Mu:      sc.moments.Mu,
+		Sigma:   sc.moments.Sigma,
 	}, nil
 }
 
@@ -731,49 +840,49 @@ func (c advCoordinator) RoundMoments(ctx *attack.Context) (attack.Moments, error
 // gradient — is a deterministic function of the Spec, so the leader
 // replays it locally (its own batch sampler fast-forwarded to round)
 // and takes the population moments with the same accumulation order as
-// attack.Loopback. st.params must already reflect the round's
+// attack.Loopback. sc.params must already reflect the round's
 // broadcast, which the computeReport call order guarantees.
-func (st *workerState) reconstructMoments(round int) (mu, sigma []float64, err error) {
-	if st.sampler == nil {
-		// st.asn may already exist — shared state or the pipeline path
+func (sc *sidecar) reconstructMoments(w *worker, round int) (mu, sigma []float64, err error) {
+	if sc.sampler == nil {
+		// w.asn may already exist — shared state or the pipeline path
 		// builds it at handshake time.
-		if st.asn == nil {
-			if st.asn, err = st.spec.BuildAssignment(); err != nil {
+		if w.asn == nil {
+			if w.asn, err = w.spec.BuildAssignment(); err != nil {
 				return nil, nil, err
 			}
 		}
-		if st.sampler, err = data.NewBatchSampler(st.train.Len(), st.spec.BatchSize, st.spec.Seed); err != nil {
+		if sc.sampler, err = data.NewBatchSampler(sc.train.Len(), w.spec.BatchSize, w.spec.Seed); err != nil {
 			return nil, nil, err
 		}
-		dim := st.mdl.NumParams()
-		flat := make([]float64, st.asn.F*dim)
-		st.trueGrads = make([][]float64, st.asn.F)
-		for v := range st.trueGrads {
-			st.trueGrads[v] = flat[v*dim : (v+1)*dim]
+		dim := sc.mdl.NumParams()
+		flat := make([]float64, w.asn.F*dim)
+		sc.trueGrads = make([][]float64, w.asn.F)
+		for v := range sc.trueGrads {
+			sc.trueGrads[v] = flat[v*dim : (v+1)*dim]
 		}
-		st.muBuf = make([]float64, dim)
-		st.sigmaBuf = make([]float64, dim)
+		sc.muBuf = make([]float64, dim)
+		sc.sigmaBuf = make([]float64, dim)
 	}
-	if round <= st.sampledIter {
+	if round <= sc.sampledIter {
 		return nil, nil, fmt.Errorf("transport: worker %d: moments for round %d requested after round %d",
-			st.cfg.ID, round, st.sampledIter)
+			sc.id, round, sc.sampledIter)
 	}
 	// The sampler's stream is positional: skipped rounds (missed while
 	// disconnected) still consume their batches so round r always sees
 	// the engine's batch r.
 	var batch []int
-	for st.sampledIter < round {
-		batch = st.sampler.Next()
-		st.sampledIter++
+	for sc.sampledIter < round {
+		batch = sc.sampler.Next()
+		sc.sampledIter++
 	}
-	if st.fileParts, err = data.PartitionFilesInto(batch, st.asn.F, st.fileParts); err != nil {
+	if sc.fileParts, err = data.PartitionFilesInto(batch, w.asn.F, sc.fileParts); err != nil {
 		return nil, nil, err
 	}
-	for v, g := range st.trueGrads {
+	for v, g := range sc.trueGrads {
 		clear(g)
-		st.mdl.SumGradient(st.params, st.train, st.fileParts[v], g)
+		sc.mdl.SumGradient(sc.params, sc.train, sc.fileParts[v], g)
 	}
-	mu = linalg.MeanVecInto(st.muBuf, st.trueGrads)
-	sigma = linalg.StdVecInto(st.sigmaBuf, mu, st.trueGrads)
+	mu = linalg.MeanVecInto(sc.muBuf, sc.trueGrads)
+	sigma = linalg.StdVecInto(sc.sigmaBuf, mu, sc.trueGrads)
 	return mu, sigma, nil
 }

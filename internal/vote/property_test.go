@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"byzshield/internal/linalg"
 )
 
 // makeReplicaSet builds a replica multiset with a known strict-plurality
@@ -51,7 +53,7 @@ func TestMajorityWinnerInvariantUnderPermutation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalVec(res.Winner, winner) {
+			if !linalg.EqualBits(res.Winner, winner) {
 				t.Fatalf("trial %d perm %d: wrong winner elected", trial, perm)
 			}
 			if res.Count != winnerCount {
@@ -128,7 +130,7 @@ func TestMajoritySmallAgreesWithHashPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalVec(resSmall.Winner, winner) || !equalVec(resLarge.Winner, winner) {
+		if !linalg.EqualBits(resSmall.Winner, winner) || !linalg.EqualBits(resLarge.Winner, winner) {
 			t.Fatalf("trial %d: paths disagree on winner", trial)
 		}
 		if resSmall.Count != winnerCount || resLarge.Count != winnerCount {
@@ -211,7 +213,7 @@ func TestMajorityNaNReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalVec(res.Winner, honest) || res.Count != 2 {
+	if !linalg.EqualBits(res.Winner, honest) || res.Count != 2 {
 		t.Fatalf("NaN payload beat 2 honest replicas: %+v", res)
 	}
 }

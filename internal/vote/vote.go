@@ -17,13 +17,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
-// Result reports the outcome of a single file's vote.
-type Result struct {
+// ResultOf reports the outcome of a single file's vote at element
+// width F.
+type ResultOf[F linalg.Float] struct {
 	// Winner is the elected gradient (a reference to one of the inputs;
 	// callers must copy before mutating).
-	Winner []float64
+	Winner []F
 	// Count is the number of votes the winner received.
 	Count int
 	// Unanimous is true when every replica agreed.
@@ -34,6 +37,9 @@ type Result struct {
 	// odd r).
 	Tied bool
 }
+
+// Result is the float64 vote outcome.
+type Result = ResultOf[float64]
 
 // smallN bounds the allocation-free direct-comparison vote path. Real
 // replication factors are tiny (r ≤ 5 in the paper), so virtually every
@@ -47,16 +53,18 @@ const smallN = 16
 // For n ≤ 16 replicas the election runs allocation-free on direct
 // pairwise bit comparison; larger replica sets fall back to hashing.
 // Both paths elect identically: the candidate with the most votes,
-// breaking ties toward the lowest first-holder index.
-func Majority(replicas [][]float64) (Result, error) {
+// breaking ties toward the lowest first-holder index. Equality is over
+// the bit patterns of the element width, so a float32 vote elects
+// exactly as a float64 vote over the widened values would.
+func Majority[F linalg.Float](replicas [][]F) (ResultOf[F], error) {
 	n := len(replicas)
 	if n == 0 {
-		return Result{}, fmt.Errorf("vote: no replicas")
+		return ResultOf[F]{}, fmt.Errorf("vote: no replicas")
 	}
 	d := len(replicas[0])
 	for i, r := range replicas {
 		if len(r) != d {
-			return Result{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
+			return ResultOf[F]{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
 		}
 	}
 	if n <= smallN {
@@ -91,7 +99,7 @@ func Majority(replicas [][]float64) (Result, error) {
 	winner := replicas[first[bestHash]]
 	exact := 0
 	for _, r := range replicas {
-		if equalVec(r, winner) {
+		if linalg.EqualBits(r, winner) {
 			exact++
 		}
 	}
@@ -101,7 +109,7 @@ func Majority(replicas [][]float64) (Result, error) {
 			tied = true
 		}
 	}
-	return Result{
+	return ResultOf[F]{
 		Winner:    winner,
 		Count:     exact,
 		Unanimous: exact == n,
@@ -113,13 +121,13 @@ func Majority(replicas [][]float64) (Result, error) {
 // state: each replica is mapped to the index of its first bit-identical
 // predecessor (its canonical candidate), and the canonical candidate
 // with the highest count — lowest first index on ties — wins.
-func majoritySmall(replicas [][]float64) Result {
+func majoritySmall[F linalg.Float](replicas [][]F) ResultOf[F] {
 	n := len(replicas)
 	var canon, counts [smallN]int
 	for i := 0; i < n; i++ {
 		c := i
 		for j := 0; j < i; j++ {
-			if canon[j] == j && equalVec(replicas[j], replicas[i]) {
+			if canon[j] == j && linalg.EqualBits(replicas[j], replicas[i]) {
 				c = j
 				break
 			}
@@ -139,7 +147,7 @@ func majoritySmall(replicas [][]float64) Result {
 			tied = true
 		}
 	}
-	return Result{
+	return ResultOf[F]{
 		Winner:    replicas[best],
 		Count:     counts[best],
 		Unanimous: counts[best] == n,
@@ -152,18 +160,18 @@ func majoritySmall(replicas [][]float64) Result {
 // and elects the largest cluster, returning its representative. This is
 // the paper's suggested handling for floating-point jitter between
 // honest replicas.
-func MajorityWithTolerance(replicas [][]float64, tol float64) (Result, error) {
+func MajorityWithTolerance[F linalg.Float](replicas [][]F, tol float64) (ResultOf[F], error) {
 	n := len(replicas)
 	if n == 0 {
-		return Result{}, fmt.Errorf("vote: no replicas")
+		return ResultOf[F]{}, fmt.Errorf("vote: no replicas")
 	}
 	if tol < 0 {
-		return Result{}, fmt.Errorf("vote: negative tolerance %v", tol)
+		return ResultOf[F]{}, fmt.Errorf("vote: negative tolerance %v", tol)
 	}
 	d := len(replicas[0])
 	for i, r := range replicas {
 		if len(r) != d {
-			return Result{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
+			return ResultOf[F]{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
 		}
 	}
 	// Clusters are (representative index, count) pairs; the
@@ -206,7 +214,7 @@ func MajorityWithTolerance(replicas [][]float64, tol float64) (Result, error) {
 			tied = true
 		}
 	}
-	return Result{
+	return ResultOf[F]{
 		Winner:    replicas[clusters[best].rep],
 		Count:     clusters[best].count,
 		Unanimous: clusters[best].count == n,
@@ -214,36 +222,25 @@ func MajorityWithTolerance(replicas [][]float64, tol float64) (Result, error) {
 	}, nil
 }
 
-// hashVec hashes the raw IEEE-754 bytes of v with FNV-1a.
-func hashVec(v []float64) uint64 {
+// hashVec hashes the raw little-endian IEEE-754 bytes of v with
+// FNV-1a (four bytes per value at float32, eight at float64).
+func hashVec[F linalg.Float](v []F) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
+	w := linalg.Width[F]()
 	for _, x := range v {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], linalg.Bits(x))
+		h.Write(buf[:w])
 	}
 	return h.Sum64()
 }
 
-// equalVec compares by float bit patterns (so NaN == NaN holds and
-// +0/−0 are distinct, matching hash semantics).
-func equalVec(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// maxAbsDiff returns the L∞ distance between a and b.
-func maxAbsDiff(a, b []float64) float64 {
+// maxAbsDiff returns the L∞ distance between a and b (differences taken
+// at the element width, compared in float64).
+func maxAbsDiff[F linalg.Float](a, b []F) float64 {
 	var m float64
 	for i := range a {
-		d := math.Abs(a[i] - b[i])
+		d := math.Abs(float64(a[i] - b[i]))
 		if d > m {
 			m = d
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"byzshield/internal/linalg"
 )
 
 func TestMajorityHonestWins(t *testing.T) {
@@ -69,11 +71,14 @@ func TestMajorityTieDeterministic(t *testing.T) {
 	}
 }
 
-func TestMajorityErrors(t *testing.T) {
-	if _, err := Majority(nil); err == nil {
+func TestMajorityErrors(t *testing.T) { testMajorityErrors[float64](t) }
+
+// testMajorityErrors checks the input validation at width F.
+func testMajorityErrors[F linalg.Float](t *testing.T) {
+	if _, err := Majority[F](nil); err == nil {
 		t.Error("empty replicas accepted")
 	}
-	if _, err := Majority([][]float64{{1}, {1, 2}}); err == nil {
+	if _, err := Majority([][]F{{1}, {1, 2}}); err == nil {
 		t.Error("ragged replicas accepted")
 	}
 }
@@ -127,7 +132,7 @@ func TestMajorityWithToleranceAbsorbsJitter(t *testing.T) {
 }
 
 func TestMajorityWithToleranceErrors(t *testing.T) {
-	if _, err := MajorityWithTolerance(nil, 0.1); err == nil {
+	if _, err := MajorityWithTolerance[float64](nil, 0.1); err == nil {
 		t.Error("empty accepted")
 	}
 	if _, err := MajorityWithTolerance([][]float64{{1}}, -1); err == nil {
@@ -222,3 +227,63 @@ func BenchmarkMajority5x1000(b *testing.B) {
 		}
 	}
 }
+
+func TestMajority32MirrorsF64(t *testing.T) {
+	// Every scenario is evaluated at both widths over the same bit
+	// patterns; the elections must agree in every Result field.
+	cases := [][][]float32{
+		{{1, 2, 3}, {1, 2, 3}, {9, 9, 9}},
+		{{1, 2}, {3, 4}, {1, 2}, {3, 4}},                    // tie → lowest first index
+		{{5, 5}, {5, 5}, {5, 5}},                            // unanimous
+		{{0}, {float32(math.Copysign(0, -1))}, {0}},         // ±0 distinct
+		{{float32(math.NaN())}, {float32(math.NaN())}, {1}}, // NaN self-equal
+	}
+	for ci, reps32 := range cases {
+		reps64 := make([][]float64, len(reps32))
+		for i, r := range reps32 {
+			reps64[i] = make([]float64, len(r))
+			for j, v := range r {
+				reps64[i][j] = float64(v)
+			}
+		}
+		r32, err := Majority(reps32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r64, err := Majority(reps64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r32.Count != r64.Count || r32.Unanimous != r64.Unanimous || r32.Tied != r64.Tied {
+			t.Errorf("case %d: f32 (%d,%v,%v) vs f64 (%d,%v,%v)", ci,
+				r32.Count, r32.Unanimous, r32.Tied, r64.Count, r64.Unanimous, r64.Tied)
+		}
+		for j := range r32.Winner {
+			if float64(r32.Winner[j]) != r64.Winner[j] && !(math.IsNaN(float64(r32.Winner[j])) && math.IsNaN(r64.Winner[j])) {
+				t.Errorf("case %d: winners diverge at %d", ci, j)
+			}
+		}
+	}
+}
+
+func TestMajority32HashFallback(t *testing.T) {
+	// Above smallN replicas the hash path runs; it must elect the same
+	// plurality as the direct path does on a truncated copy.
+	reps := make([][]float32, smallN+4)
+	for i := range reps {
+		if i%2 == 0 {
+			reps[i] = []float32{1, 2}
+		} else {
+			reps[i] = []float32{3, 4}
+		}
+	}
+	r, err := Majority(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Count != smallN/2+2 || r.Winner[0] != 1 {
+		t.Fatalf("hash path elected count=%d winner=%v", r.Count, r.Winner)
+	}
+}
+
+func TestMajority32Errors(t *testing.T) { testMajorityErrors[float32](t) }

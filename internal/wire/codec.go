@@ -14,7 +14,13 @@
 //	u32  file count n
 //	u32  gradient dimension d (0 when n == 0)
 //	n ×  u32 file id
-//	n ×  d × f64 gradient values (IEEE-754 bit patterns)
+//	n ×  d × gradient values (IEEE-754 bit patterns: f64, or f32 on a
+//	     connection that negotiated the float32 precision)
+//
+// Every codec in this package is generic over the element width
+// (linalg.Float): a float32 frame has the same layout with 4-byte value
+// words. Precision is connection state, not frame state, so no frame
+// carries its width.
 //
 // Because floats are transported as raw bit patterns, a decode is
 // bit-exact: NaN payloads, signed zeros, and subnormals survive the
@@ -25,21 +31,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // gradFrameHeader is the fixed part of the payload: worker, n, d.
 const gradFrameHeader = 12
 
-// GradFrameSize returns the encoded size in bytes of a frame with n
-// files of dimension d, including the length prefix.
-func GradFrameSize(n, d int) int {
-	return 4 + gradFrameHeader + n*4 + n*d*8
+// GradFrameSize returns the encoded size in bytes of a width-F frame
+// with n files of dimension d, including the length prefix.
+func GradFrameSize[F linalg.Float](n, d int) int {
+	return 4 + gradFrameHeader + n*4 + n*d*linalg.Width[F]()
 }
 
 // AppendGradFrame appends one encoded frame to dst and returns the
 // extended slice. files and grads must have equal length and every
 // gradient the same dimension.
-func AppendGradFrame(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
+func AppendGradFrame[F linalg.Float](dst []byte, worker int, files []int, grads [][]F) ([]byte, error) {
 	if len(files) != len(grads) {
 		return nil, fmt.Errorf("wire: %d files but %d gradients", len(files), len(grads))
 	}
@@ -56,7 +64,7 @@ func AppendGradFrame(dst []byte, worker int, files []int, grads [][]float64) ([]
 			return nil, fmt.Errorf("wire: gradient %d has dim %d, want %d", i, len(g), d)
 		}
 	}
-	payload := gradFrameHeader + n*4 + n*d*8
+	payload := GradFrameSize[F](n, d) - 4
 	if uint64(payload) > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: frame payload %d bytes exceeds u32 length prefix", payload)
 	}
@@ -71,26 +79,29 @@ func AppendGradFrame(dst []byte, worker int, files []int, grads [][]float64) ([]
 		dst = append32(dst, uint32(v))
 	}
 	for _, g := range grads {
-		dst = AppendF64s(dst, g)
+		dst = AppendFloats(dst, g)
 	}
 	return dst, nil
 }
 
-// GradFrame is a decoded gradient frame. Its slices are reused across
-// DecodeGradFrame calls when capacities allow, so a long-lived frame
-// decodes rounds without allocating.
-type GradFrame struct {
+// GradFrameOf is a decoded width-F gradient frame. Its slices are
+// reused across DecodeGradFrame calls when capacities allow, so a
+// long-lived frame decodes rounds without allocating.
+type GradFrameOf[F linalg.Float] struct {
 	Worker int
 	Files  []int
-	Grads  [][]float64
+	Grads  [][]F
 }
+
+// GradFrame is the float64 gradient frame.
+type GradFrame = GradFrameOf[float64]
 
 // DecodeGradFrame parses one frame from the front of src into f,
 // returning the number of bytes consumed. The frame is validated
 // structurally: the payload length must match the declared file count
 // and dimension exactly, so arbitrary input can never trigger an
 // oversized allocation (the declared sizes are bounded by len(src)).
-func DecodeGradFrame(src []byte, f *GradFrame) (int, error) {
+func DecodeGradFrame[F linalg.Float](src []byte, f *GradFrameOf[F]) (int, error) {
 	if len(src) < 4+gradFrameHeader {
 		return 0, fmt.Errorf("wire: frame truncated at %d bytes", len(src))
 	}
@@ -103,6 +114,7 @@ func DecodeGradFrame(src []byte, f *GradFrame) (int, error) {
 	// Sizes are validated with division in uint64 space, so a hostile
 	// header cannot overflow the expected-length arithmetic or trigger
 	// an oversized allocation (everything is bounded by len(src)).
+	w := uint64(linalg.Width[F]())
 	n64 := uint64(binary.LittleEndian.Uint32(body[4:]))
 	d64 := uint64(binary.LittleEndian.Uint32(body[8:]))
 	rem := uint64(payload) - gradFrameHeader
@@ -115,7 +127,7 @@ func DecodeGradFrame(src []byte, f *GradFrame) (int, error) {
 			return 0, fmt.Errorf("wire: frame declares %d files for %d payload bytes", n64, rem)
 		}
 		valBytes := rem - n64*4
-		if valBytes%(n64*8) != 0 || valBytes/(n64*8) != d64 {
+		if valBytes%(n64*w) != 0 || valBytes/(n64*w) != d64 {
 			return 0, fmt.Errorf("wire: frame declares %d×%d values for %d value bytes", n64, d64, valBytes)
 		}
 	}
@@ -127,20 +139,10 @@ func DecodeGradFrame(src []byte, f *GradFrame) (int, error) {
 	for i := range f.Files {
 		f.Files[i] = int(binary.LittleEndian.Uint32(body[gradFrameHeader+i*4:]))
 	}
-	if cap(f.Grads) < n {
-		grads := make([][]float64, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
+	growGrads(f, n, d)
 	vals := body[gradFrameHeader+n*4:]
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float64, d)
-		}
-		g := f.Grads[i][:d]
-		DecodeF64s(g, vals[i*d*8:])
-		f.Grads[i] = g
+	for i, g := range f.Grads {
+		DecodeFloats(g, vals[i*d*int(w):])
 	}
 	return 4 + payload, nil
 }

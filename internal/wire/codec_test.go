@@ -6,20 +6,27 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"byzshield/internal/linalg"
 )
 
-func TestGradFrameRoundTrip(t *testing.T) {
+func TestGradFrameRoundTrip(t *testing.T)   { testGradFrameRoundTrip[float64](t) }
+func TestGradFrame32RoundTrip(t *testing.T) { testGradFrameRoundTrip[float32](t) }
+
+// testGradFrameRoundTrip checks random width-F frames decode bit-exact
+// at their documented size.
+func testGradFrameRoundTrip[F linalg.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(6)
 		d := rng.Intn(40)
 		files := make([]int, n)
-		grads := make([][]float64, n)
+		grads := make([][]F, n)
 		for i := range files {
 			files[i] = rng.Intn(1000)
-			grads[i] = make([]float64, d)
+			grads[i] = make([]F, d)
 			for j := range grads[i] {
-				grads[i][j] = rng.NormFloat64()
+				grads[i][j] = F(rng.NormFloat64())
 			}
 		}
 		worker := rng.Intn(100)
@@ -27,10 +34,10 @@ func TestGradFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(enc) != GradFrameSize(n, d) {
-			t.Fatalf("encoded %d bytes, GradFrameSize says %d", len(enc), GradFrameSize(n, d))
+		if len(enc) != GradFrameSize[F](n, d) {
+			t.Fatalf("encoded %d bytes, GradFrameSize says %d", len(enc), GradFrameSize[F](n, d))
 		}
-		var f GradFrame
+		var f GradFrameOf[F]
 		consumed, err := DecodeGradFrame(enc, &f)
 		if err != nil {
 			t.Fatal(err)
@@ -48,10 +55,8 @@ func TestGradFrameRoundTrip(t *testing.T) {
 			if f.Files[i] != files[i] {
 				t.Fatalf("file %d decoded as %d, want %d", i, f.Files[i], files[i])
 			}
-			for j := range grads[i] {
-				if math.Float64bits(f.Grads[i][j]) != math.Float64bits(grads[i][j]) {
-					t.Fatalf("grad[%d][%d] = %v, want %v", i, j, f.Grads[i][j], grads[i][j])
-				}
+			if !linalg.EqualBits(f.Grads[i], grads[i]) {
+				t.Fatalf("grad %d = %v, want %v", i, f.Grads[i], grads[i])
 			}
 		}
 	}
@@ -99,10 +104,10 @@ func TestGradFrameDecodeReusesBuffers(t *testing.T) {
 }
 
 func TestGradFrameEncodeValidation(t *testing.T) {
-	if _, err := AppendGradFrame(nil, 0, []int{1}, nil); err == nil {
+	if _, err := AppendGradFrame[float64](nil, 0, []int{1}, nil); err == nil {
 		t.Error("mismatched files/grads accepted")
 	}
-	if _, err := AppendGradFrame(nil, -1, nil, nil); err == nil {
+	if _, err := AppendGradFrame[float64](nil, -1, nil, nil); err == nil {
 		t.Error("negative worker accepted")
 	}
 	if _, err := AppendGradFrame(nil, 0, []int{-2}, [][]float64{{1}}); err == nil {
@@ -140,13 +145,17 @@ func TestGradFrameDecodeRejectsCorruptHeaders(t *testing.T) {
 // FuzzDecodeGradFrame checks that arbitrary bytes never panic the
 // decoder, and that any frame it accepts is canonical: re-encoding the
 // decoded frame reproduces exactly the consumed bytes.
-func FuzzDecodeGradFrame(f *testing.F) {
-	seed, _ := AppendGradFrame(nil, 2, []int{0, 3}, [][]float64{{1.5, -2}, {0, 3.25}})
+func FuzzDecodeGradFrame(f *testing.F)   { fuzzDecodeGradFrame[float64](f) }
+func FuzzDecodeGradFrame32(f *testing.F) { fuzzDecodeGradFrame[float32](f) }
+
+// fuzzDecodeGradFrame is the decode fuzz body at width F.
+func fuzzDecodeGradFrame[F linalg.Float](f *testing.F) {
+	seed, _ := AppendGradFrame(nil, 2, []int{0, 3}, [][]F{{1.5, -2}, {0, 3.25}})
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr GradFrame
+		var fr GradFrameOf[F]
 		consumed, err := DecodeGradFrame(data, &fr)
 		if err != nil {
 			return

@@ -23,9 +23,10 @@
 //
 //	u8   mode (1 = full, 2 = delta)
 //	u32  coordinate count d
-//	full:  d × f64 bit patterns
+//	full:  d × bit patterns (f64, or f32 at the float32 precision)
 //	delta: ⌈d/2⌉ nibble-packed byte lengths (low nibble = even index),
 //	       then per coordinate its significant low-order XOR bytes
+//	       (lengths 0–8 at f64, 0–4 at f32)
 //
 // The encoding is canonical: each delta length is minimal (the highest
 // included byte is nonzero), and the decoder rejects padded lengths, so
@@ -35,6 +36,8 @@ package wire
 import (
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // Params frame modes.
@@ -48,22 +51,23 @@ const (
 // paramsHeader is the mode byte plus the coordinate count.
 const paramsHeader = 5
 
-// ParamsFullSize returns the encoded size of a full params frame.
-func ParamsFullSize(d int) int { return paramsHeader + 8*d }
+// ParamsFullSize returns the encoded size of a full width-F params
+// frame.
+func ParamsFullSize[F linalg.Float](d int) int { return paramsHeader + linalg.Width[F]()*d }
 
 // AppendParamsFull appends a full-vector frame to dst.
-func AppendParamsFull(dst []byte, params []float64) ([]byte, error) {
+func AppendParamsFull[F linalg.Float](dst []byte, params []F) ([]byte, error) {
 	if int64(len(params)) > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: %d params exceed u32 count", len(params))
 	}
 	dst = append(dst, ParamsFull)
 	dst = AppendU32(dst, uint32(len(params)))
-	return AppendF64s(dst, params), nil
+	return AppendFloats(dst, params), nil
 }
 
 // AppendParamsDelta appends a delta frame encoding cur against base.
 // The receiver must hold exactly base to apply it.
-func AppendParamsDelta(dst []byte, base, cur []float64) ([]byte, error) {
+func AppendParamsDelta[F linalg.Float](dst []byte, base, cur []F) ([]byte, error) {
 	if len(base) != len(cur) {
 		return nil, fmt.Errorf("wire: delta base has %d params, cur %d", len(base), len(cur))
 	}
@@ -76,7 +80,7 @@ func AppendParamsDelta(dst []byte, base, cur []float64) ([]byte, error) {
 	nibbleAt := len(dst)
 	dst = append(dst, make([]byte, (d+1)/2)...)
 	for i := 0; i < d; i++ {
-		x := math.Float64bits(base[i]) ^ math.Float64bits(cur[i])
+		x := linalg.Bits(base[i]) ^ linalg.Bits(cur[i])
 		n := xorLen(x)
 		orNibbleLen(dst[nibbleAt:], i, n)
 		dst = appendXORBytes(dst, x, n)
@@ -151,8 +155,10 @@ func xorFromBytes(payload []byte, n int) uint64 {
 // canonical (highest included byte nonzero), so arbitrary input either
 // fails or round-trips exactly. On error params may have been partially
 // updated and must be treated as garbage (receivers recover by
-// requesting or awaiting a full frame).
-func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) {
+// requesting or awaiting a full frame). Delta lengths above the element
+// width are rejected — a float32 XOR has at most four significant
+// bytes.
+func DecodeParams[F linalg.Float](src []byte, params []F) (mode, consumed int, err error) {
 	if len(src) < paramsHeader {
 		return 0, 0, fmt.Errorf("wire: params frame truncated at %d bytes", len(src))
 	}
@@ -162,14 +168,15 @@ func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) 
 		return 0, 0, fmt.Errorf("wire: params frame has %d coordinates, want %d", d64, len(params))
 	}
 	d := len(params)
+	w := linalg.Width[F]()
 	body := src[paramsHeader:]
 	switch mode {
 	case ParamsFull:
-		if len(body) < 8*d {
-			return 0, 0, fmt.Errorf("wire: full params frame needs %d bytes, have %d", 8*d, len(body))
+		if len(body) < w*d {
+			return 0, 0, fmt.Errorf("wire: full params frame needs %d bytes, have %d", w*d, len(body))
 		}
-		DecodeF64s(params, body)
-		return ParamsFull, paramsHeader + 8*d, nil
+		DecodeFloats(params, body)
+		return ParamsFull, paramsHeader + w*d, nil
 	case ParamsDelta:
 		nb := (d + 1) / 2
 		if len(body) < nb {
@@ -179,8 +186,8 @@ func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) 
 		off := 0
 		for i := 0; i < d; i++ {
 			n := nibbleLen(nibbles, i)
-			if n > 8 {
-				return 0, 0, fmt.Errorf("wire: delta length %d > 8 at coordinate %d", n, i)
+			if n > w {
+				return 0, 0, fmt.Errorf("wire: delta length %d > %d at coordinate %d", n, w, i)
 			}
 			if len(payload)-off < n {
 				return 0, 0, fmt.Errorf("wire: delta payload truncated at coordinate %d", i)
@@ -190,7 +197,7 @@ func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) 
 			}
 			x := xorFromBytes(payload[off:], n)
 			off += n
-			params[i] = math.Float64frombits(math.Float64bits(params[i]) ^ x)
+			params[i] = linalg.FromBits[F](linalg.Bits(params[i]) ^ x)
 		}
 		if d%2 == 1 && nibbles[nb-1]>>4 != 0 {
 			return 0, 0, fmt.Errorf("wire: delta frame has a set padding nibble")

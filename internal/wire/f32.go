@@ -1,41 +1,22 @@
-// Float32 codec set (protocol v7). The negotiated precision tier lets
-// a run move gradient reports and parameter broadcasts as float32 bit
-// patterns — half the bytes and half the kernel bandwidth of the f64
-// frames — while keeping every invariant of the f64 codecs: canonical
-// encodings, bit-exact round trips, and streaming delta bases that
-// stay in lockstep across a connection.
+// Negotiated precision tier (protocol v7). A run may move gradient
+// reports and parameter broadcasts as float32 bit patterns — half the
+// bytes and half the kernel bandwidth of float64 — with every invariant
+// of the codecs intact: canonical encodings, bit-exact round trips, and
+// streaming delta bases in lockstep across a connection.
 //
 // Precision is connection state, not frame state: the Hello advertises
 // a supported-precisions bitmask, the Welcome pins one Precision for
 // the connection, and from then on every gradient/params frame on that
-// connection is interpreted at that width. The frame modes (UplinkRaw,
-// UplinkDelta, UplinkSign, UplinkInt8, ParamsFull, ParamsDelta) are
-// shared with the f64 codecs — the byte layouts differ only in value
-// width (f32 bit patterns, 4-byte XOR payloads, f32 quantization
-// scales), so no new mode numbers exist to disagree about.
-//
-// Layout deltas against the f64 codecs, little-endian throughout:
-//
-//	gradient frame:  n × d × f32 bit patterns (codec.go, 8→4 bytes)
-//	params full:     d × f32 bit patterns (delta.go)
-//	params delta:    per-coordinate XOR of u32 bit patterns, nibble
-//	                 lengths 0–4 (0–8 for f64)
-//	uplink delta:    same u32 XOR change
-//	uplink sign:     n × f32 row scale (8→4 bytes per row)
-//	uplink int8:     n × (f32 min, f32 scale) (16→8 bytes per row)
-//
-// The lossy tiers quantize in float32 arithmetic, and the in-place
-// helpers (SignQuantizeInPlace32, Int8QuantizeInPlace32) perform the
-// identical float operations as an encode→decode round trip — the same
-// determinism contract quant.go documents for f64, which is what lets
-// the in-process f32 engine reproduce a lossy f32 TCP run bit for bit.
+// connection is interpreted at that width. The codecs themselves are
+// generic over the element width (linalg.Float), so the frame modes and
+// byte layouts are shared; a float32 frame differs only in its 4-byte
+// value words, 4-byte XOR payloads, and float32 quantization scales.
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"slices"
+
+	"byzshield/internal/linalg"
 )
 
 // Precision selects the numeric width of a connection's gradient and
@@ -86,822 +67,10 @@ func ParsePrecision(s string) (Precision, error) {
 // implementing both tiers (what the v7 worker advertises in its Hello).
 const AllPrecisionsMask = uint8(1<<PrecisionF64 | 1<<PrecisionF32)
 
-// AppendF32s appends every value's IEEE-754 bit pattern — the float32
-// counterpart of AppendF64s, with the same grow-once bulk layout.
-func AppendF32s(dst []byte, src []float32) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, 4*len(src))...)
-	buf := dst[off:]
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	return dst
-}
-
-// DecodeF32s fills dst from the first 4*len(dst) bytes of src, which
-// the caller must already have bounds-checked against the frame header.
-func DecodeF32s(dst []float32, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	src = src[: 4*len(dst) : 4*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
-	}
-}
-
-// --- Gradient frame --------------------------------------------------
-
-// GradFrame32Size returns the encoded size in bytes of an f32 gradient
-// frame with n files of dimension d, including the length prefix.
-func GradFrame32Size(n, d int) int {
-	return 4 + gradFrameHeader + n*4 + n*d*4
-}
-
-// AppendGradFrame32 appends one encoded f32 gradient frame to dst —
-// the AppendGradFrame layout with 4-byte value words.
-func AppendGradFrame32(dst []byte, worker int, files []int, grads [][]float32) ([]byte, error) {
-	if len(files) != len(grads) {
-		return nil, fmt.Errorf("wire: %d files but %d gradients", len(files), len(grads))
-	}
-	if worker < 0 || int64(worker) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: worker id %d outside u32 range", worker)
-	}
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	for i, g := range grads {
-		if len(g) != d {
-			return nil, fmt.Errorf("wire: gradient %d has dim %d, want %d", i, len(g), d)
-		}
-	}
-	payload := gradFrameHeader + n*4 + n*d*4
-	if uint64(payload) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: frame payload %d bytes exceeds u32 length prefix", payload)
-	}
-	dst = append32(dst, uint32(payload))
-	dst = append32(dst, uint32(worker))
-	dst = append32(dst, uint32(n))
-	dst = append32(dst, uint32(d))
-	for _, v := range files {
-		if v < 0 || int64(v) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: file id %d outside u32 range", v)
-		}
-		dst = append32(dst, uint32(v))
-	}
-	for _, g := range grads {
-		dst = AppendF32s(dst, g)
-	}
-	return dst, nil
-}
-
-// GradFrame32 is a decoded f32 gradient frame under the same
-// buffer-reuse contract as GradFrame.
-type GradFrame32 struct {
-	Worker int
-	Files  []int
-	Grads  [][]float32
-}
-
-// DecodeGradFrame32 parses one f32 gradient frame from the front of
-// src into f, returning the bytes consumed. Validation mirrors
-// DecodeGradFrame: sizes are checked in uint64 space against the
-// actual payload, so hostile headers cannot trigger oversized
-// allocations.
-func DecodeGradFrame32(src []byte, f *GradFrame32) (int, error) {
-	if len(src) < 4+gradFrameHeader {
-		return 0, fmt.Errorf("wire: frame truncated at %d bytes", len(src))
-	}
-	payload := int(binary.LittleEndian.Uint32(src))
-	if payload < gradFrameHeader || payload > len(src)-4 {
-		return 0, fmt.Errorf("wire: frame payload %d bytes, have %d", payload, len(src)-4)
-	}
-	body := src[4 : 4+payload]
-	f.Worker = int(binary.LittleEndian.Uint32(body))
-	n64 := uint64(binary.LittleEndian.Uint32(body[4:]))
-	d64 := uint64(binary.LittleEndian.Uint32(body[8:]))
-	rem := uint64(payload) - gradFrameHeader
-	if n64 == 0 {
-		if d64 != 0 || rem != 0 {
-			return 0, fmt.Errorf("wire: empty frame declares dim %d with %d payload bytes", d64, rem)
-		}
-	} else {
-		if n64 > rem/4 {
-			return 0, fmt.Errorf("wire: frame declares %d files for %d payload bytes", n64, rem)
-		}
-		valBytes := rem - n64*4
-		if valBytes%(n64*4) != 0 || valBytes/(n64*4) != d64 {
-			return 0, fmt.Errorf("wire: frame declares %d×%d values for %d value bytes", n64, d64, valBytes)
-		}
-	}
-	n, d := int(n64), int(d64)
-	if cap(f.Files) < n {
-		f.Files = make([]int, n)
-	}
-	f.Files = f.Files[:n]
-	for i := range f.Files {
-		f.Files[i] = int(binary.LittleEndian.Uint32(body[gradFrameHeader+i*4:]))
-	}
-	if cap(f.Grads) < n {
-		grads := make([][]float32, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
-	vals := body[gradFrameHeader+n*4:]
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float32, d)
-		}
-		g := f.Grads[i][:d]
-		DecodeF32s(g, vals[i*d*4:])
-		f.Grads[i] = g
-	}
-	return 4 + payload, nil
-}
-
-// --- Parameter broadcast ---------------------------------------------
-
-// ParamsFull32Size returns the encoded size of a full f32 params frame.
-func ParamsFull32Size(d int) int { return paramsHeader + 4*d }
-
-// AppendParamsFull32 appends a full f32 vector frame to dst.
-func AppendParamsFull32(dst []byte, params []float32) ([]byte, error) {
-	if int64(len(params)) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: %d params exceed u32 count", len(params))
-	}
-	dst = append(dst, ParamsFull)
-	dst = AppendU32(dst, uint32(len(params)))
-	return AppendF32s(dst, params), nil
-}
-
-// AppendParamsDelta32 appends an f32 delta frame encoding cur against
-// base: per coordinate the XOR of the u32 bit patterns, nibble-packed
-// byte lengths 0–4, high-order zero bytes stripped.
-func AppendParamsDelta32(dst []byte, base, cur []float32) ([]byte, error) {
-	if len(base) != len(cur) {
-		return nil, fmt.Errorf("wire: delta base has %d params, cur %d", len(base), len(cur))
-	}
-	if int64(len(cur)) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: %d params exceed u32 count", len(cur))
-	}
-	d := len(cur)
-	dst = append(dst, ParamsDelta)
-	dst = AppendU32(dst, uint32(d))
-	nibbleAt := len(dst)
-	dst = append(dst, make([]byte, (d+1)/2)...)
-	for i := 0; i < d; i++ {
-		x := uint64(math.Float32bits(base[i]) ^ math.Float32bits(cur[i]))
-		n := xorLen(x)
-		orNibbleLen(dst[nibbleAt:], i, n)
-		dst = appendXORBytes(dst, x, n)
-	}
-	return dst, nil
-}
-
-// DecodeParams32 parses one f32 params frame from the front of src and
-// applies it to params in place, under the exact contract of
-// DecodeParams (canonical lengths, partial updates on error are
-// garbage). Delta lengths above 4 are rejected — a u32 XOR has at most
-// four significant bytes.
-func DecodeParams32(src []byte, params []float32) (mode, consumed int, err error) {
-	if len(src) < paramsHeader {
-		return 0, 0, fmt.Errorf("wire: params frame truncated at %d bytes", len(src))
-	}
-	mode = int(src[0])
-	d64 := uint64(src[1]) | uint64(src[2])<<8 | uint64(src[3])<<16 | uint64(src[4])<<24
-	if d64 != uint64(len(params)) {
-		return 0, 0, fmt.Errorf("wire: params frame has %d coordinates, want %d", d64, len(params))
-	}
-	d := len(params)
-	body := src[paramsHeader:]
-	switch mode {
-	case ParamsFull:
-		if len(body) < 4*d {
-			return 0, 0, fmt.Errorf("wire: full params frame needs %d bytes, have %d", 4*d, len(body))
-		}
-		DecodeF32s(params, body)
-		return ParamsFull, paramsHeader + 4*d, nil
-	case ParamsDelta:
-		nb := (d + 1) / 2
-		if len(body) < nb {
-			return 0, 0, fmt.Errorf("wire: delta frame needs %d length bytes, have %d", nb, len(body))
-		}
-		nibbles, payload := body[:nb], body[nb:]
-		off := 0
-		for i := 0; i < d; i++ {
-			n := nibbleLen(nibbles, i)
-			if n > 4 {
-				return 0, 0, fmt.Errorf("wire: f32 delta length %d > 4 at coordinate %d", n, i)
-			}
-			if len(payload)-off < n {
-				return 0, 0, fmt.Errorf("wire: delta payload truncated at coordinate %d", i)
-			}
-			if n > 0 && payload[off+n-1] == 0 {
-				return 0, 0, fmt.Errorf("wire: non-canonical delta length at coordinate %d", i)
-			}
-			x := xorFromBytes(payload[off:], n)
-			off += n
-			params[i] = math.Float32frombits(math.Float32bits(params[i]) ^ uint32(x))
-		}
-		if d%2 == 1 && nibbles[nb-1]>>4 != 0 {
-			return 0, 0, fmt.Errorf("wire: delta frame has a set padding nibble")
-		}
-		return ParamsDelta, paramsHeader + nb + off, nil
-	default:
-		return 0, 0, fmt.Errorf("wire: unknown params frame mode %d", mode)
-	}
-}
-
-// --- Uplink codec ----------------------------------------------------
-
-// UplinkRaw32Size returns the encoded size of a raw f32 uplink frame.
-func UplinkRaw32Size(n, d int) int { return 1 + GradFrame32Size(n, d) }
-
-// UplinkSign32Size returns the encoded size of an f32 sign uplink
-// frame: the sign bits are width-independent, only the row scale
-// shrinks to four bytes.
-func UplinkSign32Size(n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*4 + n*signBytesPerRow(d)
-}
-
-// UplinkInt832Size returns the encoded size of an f32 int8 uplink
-// frame (per-row min and scale as f32).
-func UplinkInt832Size(n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*8 + n*d
-}
-
-// abs32 clears the sign bit — exact for every float32 including -0 and
-// NaN payloads, with no round trip through float64.
-func abs32(v float32) float32 {
-	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
-}
-
-// signScale32 returns the f32 sign tier's row scale: the mean absolute
-// value accumulated in float32 (0 for an empty row).
-// SignQuantizeInPlace32 must perform the identical operations.
-func signScale32(g []float32) float32 {
-	if len(g) == 0 {
-		return 0
-	}
-	var sum float32
-	for _, v := range g {
-		sum += abs32(v)
-	}
-	return sum / float32(len(g))
-}
-
-// int8Params32 returns the f32 int8 tier's row (min, scale) with the
-// same comparison loop as the f64 tier, in float32.
-func int8Params32(g []float32) (min, scale float32) {
-	if len(g) == 0 {
-		return 0, 0
-	}
-	min, max := g[0], g[0]
-	for _, v := range g[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, (max - min) / 255
-}
-
-// int8Quantize32 maps one value onto the row's grid. The offset and
-// step are computed in float32 and only the final rounding widens (Go
-// has no float32 Round); NaN and -Inf clamp to 0, +Inf to 255.
-func int8Quantize32(v, min, scale float32) uint8 {
-	if scale == 0 {
-		return 0
-	}
-	t := math.Round(float64((v - min) / scale))
-	if !(t > 0) {
-		return 0
-	}
-	if t > 255 {
-		return 255
-	}
-	return uint8(t)
-}
-
-// SignQuantizeInPlace32 replaces g with the values an f32 sign-tier
-// encode→decode round trip would deliver, using the identical float
-// operations.
-func SignQuantizeInPlace32(g []float32) {
-	s := signScale32(g)
-	for j, v := range g {
-		if math.Signbit(float64(v)) {
-			g[j] = -s
-		} else {
-			g[j] = s
-		}
-	}
-}
-
-// Int8QuantizeInPlace32 replaces g with the values an f32 int8-tier
-// encode→decode round trip would deliver, using the identical float
-// operations.
-func Int8QuantizeInPlace32(g []float32) {
-	min, scale := int8Params32(g)
-	for j, v := range g {
-		g[j] = min + scale*float32(int8Quantize32(v, min, scale))
-	}
-}
-
-// appendQuantHeader32 appends the shared quantized-frame prefix (the
-// same bytes as the f64 header; only value payloads differ by width).
-func appendQuantHeader32(dst []byte, mode byte, worker int, files []int, d int) ([]byte, error) {
-	return appendQuantHeader(dst, mode, worker, files, d)
-}
-
-// appendUplinkSign32 appends one f32 sign-tier frame.
-func appendUplinkSign32(dst []byte, worker int, files []int, grads [][]float32) ([]byte, error) {
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	dst, err := appendQuantHeader32(dst, UplinkSign, worker, files, d)
-	if err != nil {
-		return nil, err
-	}
-	for i, g := range grads {
-		s := signScale32(g)
-		if s != s {
-			return nil, fmt.Errorf("wire: sign frame row %d has NaN scale (non-finite gradient)", i)
-		}
-		dst = append32(dst, math.Float32bits(s))
-	}
-	bpr := signBytesPerRow(d)
-	for _, g := range grads {
-		at := len(dst)
-		dst = append(dst, make([]byte, bpr)...)
-		bits := dst[at:]
-		for j, v := range g {
-			if !math.Signbit(float64(v)) {
-				bits[j/8] |= 1 << (j % 8)
-			}
-		}
-	}
-	return dst, nil
-}
-
-// appendUplinkInt832 appends one f32 int8-tier frame.
-func appendUplinkInt832(dst []byte, worker int, files []int, grads [][]float32) ([]byte, error) {
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	dst, err := appendQuantHeader32(dst, UplinkInt8, worker, files, d)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range grads {
-		min, scale := int8Params32(g)
-		dst = append32(dst, math.Float32bits(min))
-		dst = append32(dst, math.Float32bits(scale))
-	}
-	for _, g := range grads {
-		at := len(dst)
-		dst = append(dst, make([]byte, d)...)
-		q := dst[at:]
-		min, scale := int8Params32(g)
-		for j, v := range g {
-			q[j] = int8Quantize32(v, min, scale)
-		}
-	}
-	return dst, nil
-}
-
-// UplinkEncoder32 is the worker-side streaming state of the f32 uplink
-// codec, under the exact contract of UplinkEncoder: one ordered frame
-// stream per encoder, Reset on reconnect, tier dispatch per Encode.
-type UplinkEncoder32 struct {
-	// Tier selects the codec this stream runs (see UplinkEncoder.Tier).
-	Tier UplinkTier
-
-	prev      []float32
-	prevFiles []int
-	scratch   []byte
-}
-
-// Reset drops the delta base, as if no frame had been sent yet.
-func (e *UplinkEncoder32) Reset() {
-	e.prev = e.prev[:0]
-	e.prevFiles = e.prevFiles[:0]
-}
-
-// Encode appends one f32 uplink frame for the report to dst, choosing
-// the smaller of the delta and raw encodings on the lossless default
-// tier, and rolls the base forward. Returns the extended buffer, the
-// mode chosen, and the raw-frame size (the uncompressed cost).
-func (e *UplinkEncoder32) Encode(dst []byte, worker int, files []int, grads [][]float32) (out []byte, mode, rawSize int, err error) {
-	if len(files) != len(grads) {
-		return nil, 0, 0, fmt.Errorf("wire: %d files but %d gradients", len(files), len(grads))
-	}
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	for i, g := range grads {
-		if len(g) != d {
-			return nil, 0, 0, fmt.Errorf("wire: gradient %d has dim %d, want %d", i, len(g), d)
-		}
-	}
-	rawSize = UplinkRaw32Size(n, d)
-	switch e.Tier {
-	case TierRaw:
-		e.Reset()
-		out = append(dst, UplinkRaw)
-		out, err = AppendGradFrame32(out, worker, files, grads)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return out, UplinkRaw, rawSize, nil
-	case TierSign:
-		e.Reset()
-		if out, err = appendUplinkSign32(dst, worker, files, grads); err != nil {
-			return nil, 0, 0, err
-		}
-		return out, UplinkSign, rawSize, nil
-	case TierInt8:
-		e.Reset()
-		if out, err = appendUplinkInt832(dst, worker, files, grads); err != nil {
-			return nil, 0, 0, err
-		}
-		return out, UplinkInt8, rawSize, nil
-	}
-	useDelta := n > 0 && len(e.prev) == n*d && slices.Equal(e.prevFiles, files)
-	if useDelta {
-		delta, derr := e.appendDelta(e.scratch[:0], worker, files, grads)
-		if derr != nil {
-			return nil, 0, 0, derr
-		}
-		e.scratch = delta
-		if len(delta) < rawSize {
-			out = append(dst, delta...)
-			e.rollBase(files, grads)
-			return out, UplinkDelta, rawSize, nil
-		}
-	}
-	out = append(dst, UplinkRaw)
-	out, err = AppendGradFrame32(out, worker, files, grads)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	e.rollBase(files, grads)
-	return out, UplinkRaw, rawSize, nil
-}
-
-// appendDelta builds the f32 delta frame for the report against e.prev.
-func (e *UplinkEncoder32) appendDelta(dst []byte, worker int, files []int, grads [][]float32) ([]byte, error) {
-	if worker < 0 || int64(worker) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: worker id %d outside u32 range", worker)
-	}
-	n, d := len(files), len(grads[0])
-	dst = append(dst, UplinkDelta)
-	dst = append32(dst, uint32(worker))
-	dst = append32(dst, uint32(n))
-	dst = append32(dst, uint32(d))
-	for _, v := range files {
-		if v < 0 || int64(v) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: file id %d outside u32 range", v)
-		}
-		dst = append32(dst, uint32(v))
-	}
-	nibbleAt := len(dst)
-	dst = append(dst, make([]byte, (n*d+1)/2)...)
-	idx := 0
-	for i, g := range grads {
-		base := e.prev[i*d : (i+1)*d]
-		for j, v := range g {
-			x := uint64(math.Float32bits(base[j]) ^ math.Float32bits(v))
-			nb := xorLen(x)
-			orNibbleLen(dst[nibbleAt:], idx, nb)
-			dst = appendXORBytes(dst, x, nb)
-			idx++
-		}
-	}
-	return dst, nil
-}
-
-// rollBase records the report as the next frame's delta base.
-func (e *UplinkEncoder32) rollBase(files []int, grads [][]float32) {
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	if cap(e.prev) < n*d {
-		e.prev = make([]float32, n*d)
-	}
-	e.prev = e.prev[:n*d]
-	for i, g := range grads {
-		copy(e.prev[i*d:(i+1)*d], g)
-	}
-	e.prevFiles = append(e.prevFiles[:0], files...)
-}
-
-// UplinkDecoder32 is the PS-side streaming state of the f32 uplink
-// codec for one worker connection, under the exact contract of
-// UplinkDecoder (ordered loss-free stream, decode-even-if-stale,
-// poisoned stream on error).
-type UplinkDecoder32 struct {
-	// Tier mirrors the connection's negotiated tier and bounds what the
-	// decoder accepts (see UplinkDecoder.Tier).
-	Tier UplinkTier
-
-	prev       []float32
-	prevFiles  []int
-	prevWorker int
-}
-
-// Reset drops the delta base (a fresh connection's state).
-func (dec *UplinkDecoder32) Reset() {
-	dec.prev = dec.prev[:0]
-	dec.prevFiles = dec.prevFiles[:0]
-	dec.prevWorker = 0
-}
-
-// Decode parses one f32 uplink frame from the front of src into f and
-// rolls the base forward, returning the mode and bytes consumed.
-func (dec *UplinkDecoder32) Decode(src []byte, f *GradFrame32) (mode, consumed int, err error) {
-	if len(src) < 1 {
-		return 0, 0, fmt.Errorf("wire: empty uplink frame")
-	}
-	mode = int(src[0])
-	if !dec.accepts(mode) {
-		return 0, 0, fmt.Errorf("wire: uplink frame mode %d outside negotiated tier %s", mode, dec.Tier)
-	}
-	switch mode {
-	case UplinkRaw:
-		n, err := DecodeGradFrame32(src[1:], f)
-		if err != nil {
-			return 0, 0, err
-		}
-		if dec.Tier == TierRaw {
-			dec.Reset()
-		} else {
-			dec.rollBase(f)
-		}
-		return UplinkRaw, 1 + n, nil
-	case UplinkDelta:
-		consumed, err := dec.decodeDelta(src, f)
-		if err != nil {
-			return 0, 0, err
-		}
-		return UplinkDelta, consumed, nil
-	case UplinkSign:
-		consumed, err := decodeUplinkSign32(src, f)
-		if err != nil {
-			return 0, 0, err
-		}
-		return UplinkSign, consumed, nil
-	case UplinkInt8:
-		consumed, err := decodeUplinkInt832(src, f)
-		if err != nil {
-			return 0, 0, err
-		}
-		return UplinkInt8, consumed, nil
-	default:
-		return 0, 0, fmt.Errorf("wire: unknown uplink frame mode %d", mode)
-	}
-}
-
-// accepts reports whether the decoder's tier takes frames of mode m.
-func (dec *UplinkDecoder32) accepts(m int) bool {
-	switch dec.Tier {
-	case TierRaw:
-		return m == UplinkRaw
-	case TierDelta:
-		return m == UplinkRaw || m == UplinkDelta
-	case TierSign:
-		return m == UplinkSign
-	case TierInt8:
-		return m == UplinkInt8
-	default:
-		return false
-	}
-}
-
-// decodeDelta parses an f32 delta frame and applies it to the base,
-// leaving the reconstructed values in both f.Grads and the base.
-func (dec *UplinkDecoder32) decodeDelta(src []byte, f *GradFrame32) (int, error) {
-	if len(src) < uplinkDeltaHeader {
-		return 0, fmt.Errorf("wire: uplink delta frame truncated at %d bytes", len(src))
-	}
-	worker := int(binary.LittleEndian.Uint32(src[1:]))
-	n64 := uint64(binary.LittleEndian.Uint32(src[5:]))
-	d64 := uint64(binary.LittleEndian.Uint32(src[9:]))
-	n := len(dec.prevFiles)
-	if n == 0 {
-		return 0, fmt.Errorf("wire: uplink delta frame with no base report")
-	}
-	if worker != dec.prevWorker {
-		return 0, fmt.Errorf("wire: uplink delta claims worker %d, base is worker %d", worker, dec.prevWorker)
-	}
-	d := len(dec.prev) / n
-	if n64 != uint64(n) || d64 != uint64(d) {
-		return 0, fmt.Errorf("wire: uplink delta declares %d×%d values, base is %d×%d", n64, d64, n, d)
-	}
-	if len(src) < uplinkDeltaHeader+n*4 {
-		return 0, fmt.Errorf("wire: uplink delta frame truncated in file list")
-	}
-	for i := 0; i < n; i++ {
-		v := int(binary.LittleEndian.Uint32(src[uplinkDeltaHeader+i*4:]))
-		if v != dec.prevFiles[i] {
-			return 0, fmt.Errorf("wire: uplink delta file %d is %d, base has %d", i, v, dec.prevFiles[i])
-		}
-	}
-	nb := (n*d + 1) / 2
-	body := src[uplinkDeltaHeader+n*4:]
-	if len(body) < nb {
-		return 0, fmt.Errorf("wire: uplink delta needs %d length bytes, have %d", nb, len(body))
-	}
-	nibbles, payload := body[:nb], body[nb:]
-	off := 0
-	for i := 0; i < n*d; i++ {
-		ln := nibbleLen(nibbles, i)
-		if ln > 4 {
-			return 0, fmt.Errorf("wire: f32 uplink delta length %d > 4 at value %d", ln, i)
-		}
-		if len(payload)-off < ln {
-			return 0, fmt.Errorf("wire: uplink delta payload truncated at value %d", i)
-		}
-		if ln > 0 && payload[off+ln-1] == 0 {
-			return 0, fmt.Errorf("wire: non-canonical uplink delta length at value %d", i)
-		}
-		off += ln
-	}
-	if (n*d)%2 == 1 && nibbles[nb-1]>>4 != 0 {
-		return 0, fmt.Errorf("wire: uplink delta frame has a set padding nibble")
-	}
-	f.Worker = worker
-	if cap(f.Files) < n {
-		f.Files = make([]int, n)
-	}
-	f.Files = f.Files[:n]
-	copy(f.Files, dec.prevFiles)
-	if cap(f.Grads) < n {
-		grads := make([][]float32, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
-	off = 0
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float32, d)
-		}
-		g := f.Grads[i][:d]
-		base := dec.prev[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			ln := nibbleLen(nibbles, i*d+j)
-			x := xorFromBytes(payload[off:], ln)
-			off += ln
-			v := math.Float32frombits(math.Float32bits(base[j]) ^ uint32(x))
-			base[j] = v
-			g[j] = v
-		}
-		f.Grads[i] = g
-	}
-	return uplinkDeltaHeader + n*4 + nb + off, nil
-}
-
-// rollBase records a raw frame's contents as the next delta base.
-func (dec *UplinkDecoder32) rollBase(f *GradFrame32) {
-	dec.prevWorker = f.Worker
-	n := len(f.Files)
-	d := 0
-	if n > 0 {
-		d = len(f.Grads[0])
-	}
-	if cap(dec.prev) < n*d {
-		dec.prev = make([]float32, n*d)
-	}
-	dec.prev = dec.prev[:n*d]
-	for i, g := range f.Grads {
-		copy(dec.prev[i*d:(i+1)*d], g)
-	}
-	dec.prevFiles = append(dec.prevFiles[:0], f.Files...)
-}
-
-// decodeQuantHeader32 validates the shared quantized-frame prefix into
-// an f32 frame (the header bytes are width-independent).
-func decodeQuantHeader32(src []byte, f *GradFrame32, scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
-	if len(src) < uplinkDeltaHeader {
-		return 0, 0, nil, fmt.Errorf("wire: quantized uplink frame truncated at %d bytes", len(src))
-	}
-	worker := int(binary.LittleEndian.Uint32(src[1:]))
-	n64 := uint64(binary.LittleEndian.Uint32(src[5:]))
-	d64 := uint64(binary.LittleEndian.Uint32(src[9:]))
-	rem := uint64(len(src) - uplinkDeltaHeader)
-	if n64 > 0 && n64 > rem/4 {
-		return 0, 0, nil, fmt.Errorf("wire: quantized frame declares %d files for %d bytes", n64, rem)
-	}
-	if n64 == 0 && d64 != 0 {
-		return 0, 0, nil, fmt.Errorf("wire: empty quantized frame declares dim %d", d64)
-	}
-	perRow := uint64(scaleBytes) + valueBytes(d64)
-	if n64 > 0 && (rem-n64*4)/n64 < perRow {
-		return 0, 0, nil, fmt.Errorf("wire: quantized frame declares %d×%d values for %d bytes", n64, d64, rem)
-	}
-	n, d = int(n64), int(d64)
-	f.Worker = worker
-	if cap(f.Files) < n {
-		f.Files = make([]int, n)
-	}
-	f.Files = f.Files[:n]
-	for i := range f.Files {
-		f.Files[i] = int(binary.LittleEndian.Uint32(src[uplinkDeltaHeader+i*4:]))
-	}
-	return n, d, src[uplinkDeltaHeader+n*4:], nil
-}
-
-// growGrads32 sizes f.Grads to n rows of d values under the
-// buffer-reuse contract.
-func growGrads32(f *GradFrame32, n, d int) {
-	if cap(f.Grads) < n {
-		grads := make([][]float32, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float32, d)
-		}
-		f.Grads[i] = f.Grads[i][:d]
-	}
-}
-
-// decodeUplinkSign32 parses one f32 sign frame into f, returning the
-// bytes consumed, with the canonicality rules of the f64 decoder.
-func decodeUplinkSign32(src []byte, f *GradFrame32) (int, error) {
-	bpr := uint64(0)
-	n, d, body, err := decodeQuantHeader32(src, f, 4, func(d uint64) uint64 {
-		bpr = (d + 7) / 8
-		return bpr
-	})
-	if err != nil {
-		return 0, err
-	}
-	if uint64(len(body)) < uint64(n)*(4+bpr) {
-		return 0, fmt.Errorf("wire: sign frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(4+bpr), len(body))
-	}
-	growGrads32(f, n, d)
-	bits := body[n*4:]
-	for i := 0; i < n; i++ {
-		sb := binary.LittleEndian.Uint32(body[i*4:])
-		s := math.Float32frombits(sb)
-		if math.Signbit(float64(s)) || s != s {
-			return 0, fmt.Errorf("wire: sign frame row %d has non-canonical scale", i)
-		}
-		if d == 0 && sb != 0 {
-			return 0, fmt.Errorf("wire: sign frame empty row %d has nonzero scale", i)
-		}
-		row := bits[uint64(i)*bpr:]
-		g := f.Grads[i]
-		for j := 0; j < d; j++ {
-			if row[j/8]&(1<<(j%8)) != 0 {
-				g[j] = s
-			} else {
-				g[j] = -s
-			}
-		}
-		if d%8 != 0 && row[bpr-1]>>(d%8) != 0 {
-			return 0, fmt.Errorf("wire: sign frame row %d has set padding bits", i)
-		}
-	}
-	return uplinkDeltaHeader + n*4 + n*4 + n*int(bpr), nil
-}
-
-// decodeUplinkInt832 parses one f32 int8 frame into f, returning the
-// bytes consumed. Structural validation only, as for the f64 tier.
-func decodeUplinkInt832(src []byte, f *GradFrame32) (int, error) {
-	n, d, body, err := decodeQuantHeader32(src, f, 8, func(d uint64) uint64 { return d })
-	if err != nil {
-		return 0, err
-	}
-	if uint64(len(body)) < uint64(n)*(8+uint64(d)) {
-		return 0, fmt.Errorf("wire: int8 frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(8+uint64(d)), len(body))
-	}
-	growGrads32(f, n, d)
-	vals := body[n*8:]
-	for i := 0; i < n; i++ {
-		min := math.Float32frombits(binary.LittleEndian.Uint32(body[i*8:]))
-		scale := math.Float32frombits(binary.LittleEndian.Uint32(body[i*8+4:]))
-		q := vals[i*d:]
-		g := f.Grads[i]
-		for j := 0; j < d; j++ {
-			g[j] = min + scale*float32(q[j])
-		}
-	}
-	return uplinkDeltaHeader + n*4 + n*8 + n*d, nil
+// PrecisionOf returns the precision tier whose frames carry F values.
+func PrecisionOf[F linalg.Float]() Precision {
+	if linalg.Width[F]() == 4 {
+		return PrecisionF32
+	}
+	return PrecisionF64
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // ErrVersionMismatch marks a frame header carrying a protocol version
@@ -171,32 +173,68 @@ func AppendI64(dst []byte, v int64) []byte { return AppendU64(dst, uint64(v)) }
 // AppendF64 appends v's IEEE-754 bit pattern (bit-exact round-trip).
 func AppendF64(dst []byte, v float64) []byte { return AppendU64(dst, math.Float64bits(v)) }
 
-// AppendF64s appends every value's bit pattern: the destination grows
-// once and a fixed-stride loop fills it, instead of paying append's
-// length/capacity bookkeeping per element. Parameter broadcasts and
-// gradient reports move whole vectors through this path every round,
-// so the per-element overhead is the dominant encode cost at scale.
-func AppendF64s(dst []byte, src []float64) []byte {
+// AppendFloats appends every value's IEEE-754 bit pattern at its own
+// width (four bytes per float32, eight per float64): the destination
+// grows once and a fixed-stride loop fills it, instead of paying
+// append's length/capacity bookkeeping per element. Parameter
+// broadcasts and gradient reports move whole vectors through this path
+// every round, so the per-element overhead is the dominant encode cost
+// at scale.
+func AppendFloats[F linalg.Float](dst []byte, src []F) []byte {
+	w := linalg.Width[F]()
 	off := len(dst)
-	dst = append(dst, make([]byte, 8*len(src))...)
+	dst = append(dst, make([]byte, w*len(src))...)
 	buf := dst[off:]
+	if w == 4 {
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(buf[i*4:], uint32(linalg.Bits(v)))
+		}
+		return dst
+	}
 	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(buf[i*8:], linalg.Bits(v))
 	}
 	return dst
 }
 
-// DecodeF64s fills dst from the first 8*len(dst) bytes of src, which
-// the caller must already have bounds-checked against the frame
+// DecodeFloats fills dst from the first Width·len(dst) bytes of src,
+// which the caller must already have bounds-checked against the frame
 // header. The bulk counterpart of Dec.F64 for vector payloads.
-func DecodeF64s(dst []float64, src []byte) {
+func DecodeFloats[F linalg.Float](dst []F, src []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	src = src[: 8*len(dst) : 8*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	w := linalg.Width[F]()
+	src = src[: w*len(dst) : w*len(dst)]
+	if w == 4 {
+		for i := range dst {
+			dst[i] = linalg.FromBits[F](uint64(binary.LittleEndian.Uint32(src[i*4:])))
+		}
+		return
 	}
+	for i := range dst {
+		dst[i] = linalg.FromBits[F](binary.LittleEndian.Uint64(src[i*8:]))
+	}
+}
+
+// appendFloat appends one value's bit pattern at its own width.
+func appendFloat[F linalg.Float](dst []byte, v F) []byte {
+	if linalg.Width[F]() == 4 {
+		return append32(dst, uint32(linalg.Bits(v)))
+	}
+	return AppendU64(dst, linalg.Bits(v))
+}
+
+// readFloat reads one value's bit pattern at its own width from the
+// front of src, returning the value and its raw bits.
+func readFloat[F linalg.Float](src []byte) (F, uint64) {
+	var b uint64
+	if linalg.Width[F]() == 4 {
+		b = uint64(binary.LittleEndian.Uint32(src))
+	} else {
+		b = binary.LittleEndian.Uint64(src)
+	}
+	return linalg.FromBits[F](b), b
 }
 
 // AppendString appends a u32 length prefix followed by the raw bytes.

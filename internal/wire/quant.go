@@ -3,7 +3,7 @@
 // consecutive gradient reports decorrelate; the two lossy tiers in this
 // file cut the dominant worker→PS direction by construction instead:
 //
-//   - sign: one bit per coordinate plus one f64 scale per row — the
+//   - sign: one bit per coordinate plus one scale per row — the
 //     1-bit SGD shape. The scale is the row's mean absolute value, so
 //     the dequantized row ±scale preserves the row's L1 mass.
 //   - int8: one byte per coordinate plus per-row (min, scale) — linear
@@ -30,9 +30,14 @@
 //
 //	u8  mode (3 = sign, 4 = int8)
 //	u32 worker, u32 n, u32 d, n × u32 file id
-//	sign: n × f64 row scale, then n × ⌈d/8⌉ sign bytes (bit j of byte
+//	sign: n × row scale, then n × ⌈d/8⌉ sign bytes (bit j of byte
 //	      j/8, LSB first; set = non-negative)
-//	int8: n × (f64 row min, f64 row scale), then n × d quantized bytes
+//	int8: n × (row min, row scale), then n × d quantized bytes
+//
+// Scales are element-width values (f64, or f32 at the float32
+// precision) and the quantization arithmetic runs at that width; only
+// the int8 tier's final rounding widens to float64 (Go has no float32
+// Round).
 //
 // A sign frame is canonical: scales must carry a clear sign bit and no
 // NaN payload (the encoder refuses NaN scales), padding bits in the
@@ -49,6 +54,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // UplinkTier selects the uplink gradient codec a connection (or the
@@ -120,37 +127,43 @@ const AllTiersMask = uint8(1<<TierDelta | 1<<TierRaw | 1<<TierSign | 1<<TierInt8
 // signBytesPerRow returns the packed sign-bit bytes of one d-wide row.
 func signBytesPerRow(d int) int { return (d + 7) / 8 }
 
-// UplinkSignSize returns the encoded size of a sign uplink frame with
-// n files of dimension d.
-func UplinkSignSize(n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*8 + n*signBytesPerRow(d)
+// UplinkSignSize returns the encoded size of a width-F sign uplink
+// frame with n files of dimension d.
+func UplinkSignSize[F linalg.Float](n, d int) int {
+	return uplinkDeltaHeader + n*4 + n*linalg.Width[F]() + n*signBytesPerRow(d)
 }
 
-// UplinkInt8Size returns the encoded size of an int8 uplink frame with
-// n files of dimension d.
-func UplinkInt8Size(n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*16 + n*d
+// UplinkInt8Size returns the encoded size of a width-F int8 uplink
+// frame with n files of dimension d.
+func UplinkInt8Size[F linalg.Float](n, d int) int {
+	return uplinkDeltaHeader + n*4 + n*2*linalg.Width[F]() + n*d
+}
+
+// absBits clears the sign bit — exact for every value including −0 and
+// NaN payloads (math.Abs at float64).
+func absBits[F linalg.Float](v F) F {
+	return linalg.FromBits[F](linalg.Bits(v) &^ (1 << (8*linalg.Width[F]() - 1)))
 }
 
 // signScale returns the sign tier's row scale: the mean absolute
-// value (0 for an empty row). SignQuantizeInPlace must perform the
-// identical operations.
-func signScale(g []float64) float64 {
+// value, accumulated at the element width (0 for an empty row).
+// SignQuantizeInPlace must perform the identical operations.
+func signScale[F linalg.Float](g []F) F {
 	if len(g) == 0 {
 		return 0
 	}
-	sum := 0.0
+	var sum F
 	for _, v := range g {
-		sum += math.Abs(v)
+		sum += absBits(v)
 	}
-	return sum / float64(len(g))
+	return sum / F(len(g))
 }
 
 // int8Params returns the int8 tier's row (min, scale): the row's value
 // range mapped onto 255 steps (both 0 for an empty row). A row
 // containing NaN propagates it into min/max exactly as the comparison
 // loop below does, which Int8QuantizeInPlace mirrors.
-func int8Params(g []float64) (min, scale float64) {
+func int8Params[F linalg.Float](g []F) (min, scale F) {
 	if len(g) == 0 {
 		return 0, 0
 	}
@@ -166,14 +179,15 @@ func int8Params(g []float64) (min, scale float64) {
 	return min, (max - min) / 255
 }
 
-// int8Quantize maps one value onto the row's grid. NaN and -Inf
-// arguments clamp to 0, +Inf to 255, so the conversion to byte is
-// always defined behavior.
-func int8Quantize(v, min, scale float64) uint8 {
+// int8Quantize maps one value onto the row's grid. The offset and step
+// are computed at the element width and only the rounding widens. NaN
+// and -Inf arguments clamp to 0, +Inf to 255, so the conversion to
+// byte is always defined behavior.
+func int8Quantize[F linalg.Float](v, min, scale F) uint8 {
 	if scale == 0 {
 		return 0
 	}
-	t := math.Round((v - min) / scale)
+	t := math.Round(float64((v - min) / scale))
 	if !(t > 0) {
 		return 0
 	}
@@ -187,10 +201,10 @@ func int8Quantize(v, min, scale float64) uint8 {
 // encode→decode round trip would deliver, using the identical float
 // operations, so the in-process engine reproduces the wire path
 // bit-for-bit.
-func SignQuantizeInPlace(g []float64) {
+func SignQuantizeInPlace[F linalg.Float](g []F) {
 	s := signScale(g)
 	for j, v := range g {
-		if math.Signbit(v) {
+		if math.Signbit(float64(v)) {
 			g[j] = -s
 		} else {
 			g[j] = s
@@ -201,10 +215,10 @@ func SignQuantizeInPlace(g []float64) {
 // Int8QuantizeInPlace replaces g with the values an int8-tier
 // encode→decode round trip would deliver, using the identical float
 // operations.
-func Int8QuantizeInPlace(g []float64) {
+func Int8QuantizeInPlace[F linalg.Float](g []F) {
 	min, scale := int8Params(g)
 	for j, v := range g {
-		g[j] = min + scale*float64(int8Quantize(v, min, scale))
+		g[j] = min + scale*F(int8Quantize(v, min, scale))
 	}
 }
 
@@ -229,7 +243,7 @@ func appendQuantHeader(dst []byte, mode byte, worker int, files []int, d int) ([
 
 // appendUplinkSign appends one sign-tier frame. Callers validated the
 // files/grads shape (the Encode front door).
-func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
+func appendUplinkSign[F linalg.Float](dst []byte, worker int, files []int, grads [][]F) ([]byte, error) {
 	n := len(files)
 	d := 0
 	if n > 0 {
@@ -244,7 +258,7 @@ func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([
 		if s != s {
 			return nil, fmt.Errorf("wire: sign frame row %d has NaN scale (non-finite gradient)", i)
 		}
-		dst = AppendF64(dst, s)
+		dst = appendFloat(dst, s)
 	}
 	bpr := signBytesPerRow(d)
 	for _, g := range grads {
@@ -252,7 +266,7 @@ func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([
 		dst = append(dst, make([]byte, bpr)...)
 		bits := dst[at:]
 		for j, v := range g {
-			if !math.Signbit(v) {
+			if !math.Signbit(float64(v)) {
 				bits[j/8] |= 1 << (j % 8)
 			}
 		}
@@ -261,7 +275,7 @@ func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([
 }
 
 // appendUplinkInt8 appends one int8-tier frame.
-func appendUplinkInt8(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
+func appendUplinkInt8[F linalg.Float](dst []byte, worker int, files []int, grads [][]F) ([]byte, error) {
 	n := len(files)
 	d := 0
 	if n > 0 {
@@ -273,8 +287,8 @@ func appendUplinkInt8(dst []byte, worker int, files []int, grads [][]float64) ([
 	}
 	for _, g := range grads {
 		min, scale := int8Params(g)
-		dst = AppendF64(dst, min)
-		dst = AppendF64(dst, scale)
+		dst = appendFloat(dst, min)
+		dst = appendFloat(dst, scale)
 	}
 	for _, g := range grads {
 		at := len(dst)
@@ -295,7 +309,7 @@ func appendUplinkInt8(dst []byte, worker int, files []int, grads [][]float64) ([
 // value bytes), precomputed in uint64 space so hostile counts cannot
 // overflow or trigger oversized allocations — everything is bounded by
 // len(src) before n and d are trusted.
-func decodeQuantHeader(src []byte, f *GradFrame, scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
+func decodeQuantHeader[F linalg.Float](src []byte, f *GradFrameOf[F], scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
 	if len(src) < uplinkDeltaHeader {
 		return 0, 0, nil, fmt.Errorf("wire: quantized uplink frame truncated at %d bytes", len(src))
 	}
@@ -327,16 +341,16 @@ func decodeQuantHeader(src []byte, f *GradFrame, scaleBytes int, valueBytes func
 
 // growGrads sizes f.Grads to n rows of d values under the
 // DecodeGradFrame buffer-reuse contract.
-func growGrads(f *GradFrame, n, d int) {
+func growGrads[F linalg.Float](f *GradFrameOf[F], n, d int) {
 	if cap(f.Grads) < n {
-		grads := make([][]float64, n)
+		grads := make([][]F, n)
 		copy(grads, f.Grads)
 		f.Grads = grads
 	}
 	f.Grads = f.Grads[:n]
 	for i := 0; i < n; i++ {
 		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float64, d)
+			f.Grads[i] = make([]F, d)
 		}
 		f.Grads[i] = f.Grads[i][:d]
 	}
@@ -346,24 +360,24 @@ func growGrads(f *GradFrame, n, d int) {
 // consumed. Scales with a set sign bit or NaN payload, set padding
 // bits, and a nonzero empty-row scale are rejected, so any accepted
 // frame re-encodes to exactly the consumed bytes.
-func decodeUplinkSign(src []byte, f *GradFrame) (int, error) {
+func decodeUplinkSign[F linalg.Float](src []byte, f *GradFrameOf[F]) (int, error) {
+	w := linalg.Width[F]()
 	bpr := uint64(0)
-	n, d, body, err := decodeQuantHeader(src, f, 8, func(d uint64) uint64 {
+	n, d, body, err := decodeQuantHeader(src, f, w, func(d uint64) uint64 {
 		bpr = (d + 7) / 8
 		return bpr
 	})
 	if err != nil {
 		return 0, err
 	}
-	if uint64(len(body)) < uint64(n)*(8+bpr) {
-		return 0, fmt.Errorf("wire: sign frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(8+bpr), len(body))
+	if uint64(len(body)) < uint64(n)*(uint64(w)+bpr) {
+		return 0, fmt.Errorf("wire: sign frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(uint64(w)+bpr), len(body))
 	}
 	growGrads(f, n, d)
-	bits := body[n*8:]
+	bits := body[n*w:]
 	for i := 0; i < n; i++ {
-		sb := binary.LittleEndian.Uint64(body[i*8:])
-		s := math.Float64frombits(sb)
-		if math.Signbit(s) || s != s {
+		s, sb := readFloat[F](body[i*w:])
+		if math.Signbit(float64(s)) || s != s {
 			return 0, fmt.Errorf("wire: sign frame row %d has non-canonical scale", i)
 		}
 		if d == 0 && sb != 0 {
@@ -382,31 +396,32 @@ func decodeUplinkSign(src []byte, f *GradFrame) (int, error) {
 			return 0, fmt.Errorf("wire: sign frame row %d has set padding bits", i)
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*8 + n*int(bpr), nil
+	return uplinkDeltaHeader + n*4 + n*w + n*int(bpr), nil
 }
 
 // decodeUplinkInt8 parses one int8 frame into f, returning the bytes
 // consumed. Validation is structural only (see the package comment):
 // dequantization of any accepted frame is deterministic, which is the
 // property the vote needs.
-func decodeUplinkInt8(src []byte, f *GradFrame) (int, error) {
-	n, d, body, err := decodeQuantHeader(src, f, 16, func(d uint64) uint64 { return d })
+func decodeUplinkInt8[F linalg.Float](src []byte, f *GradFrameOf[F]) (int, error) {
+	w := linalg.Width[F]()
+	n, d, body, err := decodeQuantHeader(src, f, 2*w, func(d uint64) uint64 { return d })
 	if err != nil {
 		return 0, err
 	}
-	if uint64(len(body)) < uint64(n)*(16+uint64(d)) {
-		return 0, fmt.Errorf("wire: int8 frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(16+uint64(d)), len(body))
+	if uint64(len(body)) < uint64(n)*(uint64(2*w)+uint64(d)) {
+		return 0, fmt.Errorf("wire: int8 frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(uint64(2*w)+uint64(d)), len(body))
 	}
 	growGrads(f, n, d)
-	vals := body[n*16:]
+	vals := body[n*2*w:]
 	for i := 0; i < n; i++ {
-		min := math.Float64frombits(binary.LittleEndian.Uint64(body[i*16:]))
-		scale := math.Float64frombits(binary.LittleEndian.Uint64(body[i*16+8:]))
+		min, _ := readFloat[F](body[i*2*w:])
+		scale, _ := readFloat[F](body[i*2*w+w:])
 		q := vals[i*d:]
 		g := f.Grads[i]
 		for j := 0; j < d; j++ {
-			g[j] = min + scale*float64(q[j])
+			g[j] = min + scale*F(q[j])
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*16 + n*d, nil
+	return uplinkDeltaHeader + n*4 + n*2*w + n*d, nil
 }

@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"byzshield/internal/linalg"
 )
 
 // quantizeReport applies the tier's in-place helper to a copy of the
 // report — the values the engine pinned to the tier would aggregate.
-func quantizeReport(tier UplinkTier, grads [][]float64) [][]float64 {
-	out := make([][]float64, len(grads))
+func quantizeReport[F linalg.Float](tier UplinkTier, grads [][]F) [][]F {
+	out := make([][]F, len(grads))
 	for i, g := range grads {
 		out[i] = slices.Clone(g)
 		switch tier {
@@ -49,22 +51,29 @@ func TestUplinkTierSpellings(t *testing.T) {
 // encoder/decoder pairs: every decode must equal the in-place helper
 // bit-for-bit (the loopback == engine property), hit the documented
 // frame size, and beat the raw encoding by the tier's design ratio.
-func TestUplinkQuantRoundTrip(t *testing.T) {
+func TestUplinkQuantRoundTrip(t *testing.T) { testUplinkQuantRoundTrip[float64](t) }
+
+// TestUplink32QuantMatchesInPlace runs the quantized round trip at
+// float32, where the design ratio halves with the value width.
+func TestUplink32QuantMatchesInPlace(t *testing.T) { testUplinkQuantRoundTrip[float32](t) }
+
+// testUplinkQuantRoundTrip is the quantized round trip at width F.
+func testUplinkQuantRoundTrip[F linalg.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	files := []int{2, 7, 19}
 	for _, tier := range []UplinkTier{TierSign, TierInt8} {
-		enc := UplinkEncoder{Tier: tier}
-		dec := UplinkDecoder{Tier: tier}
-		var f GradFrame
-		grads := report(rng, 3, 50)
+		enc := UplinkEncoderOf[F]{Tier: tier}
+		dec := UplinkDecoderOf[F]{Tier: tier}
+		var f GradFrameOf[F]
+		grads := reportOf[F](rng, 3, 50)
 		for round := 0; round < 4; round++ {
 			frame, mode, rawSize, err := enc.Encode(nil, 4, files, grads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMode, wantSize := UplinkSign, UplinkSignSize(3, 50)
+			wantMode, wantSize := UplinkSign, UplinkSignSize[F](3, 50)
 			if tier == TierInt8 {
-				wantMode, wantSize = UplinkInt8, UplinkInt8Size(3, 50)
+				wantMode, wantSize = UplinkInt8, UplinkInt8Size[F](3, 50)
 			}
 			if mode != wantMode {
 				t.Fatalf("%s round %d: mode %d, want %d", tier, round, mode, wantMode)
@@ -72,11 +81,12 @@ func TestUplinkQuantRoundTrip(t *testing.T) {
 			if len(frame) != wantSize {
 				t.Fatalf("%s round %d: frame %d bytes, want %d", tier, round, len(frame), wantSize)
 			}
-			if rawSize != UplinkRawSize(3, 50) {
-				t.Fatalf("%s round %d: rawSize %d, want %d", tier, round, rawSize, UplinkRawSize(3, 50))
+			if rawSize != UplinkRawSize[F](3, 50) {
+				t.Fatalf("%s round %d: rawSize %d, want %d", tier, round, rawSize, UplinkRawSize[F](3, 50))
 			}
-			if 4*len(frame) > rawSize {
-				t.Fatalf("%s round %d: frame %d bytes does not cut raw %d by ≥4×", tier, round, len(frame), rawSize)
+			// int8 costs one byte per value: ≥4× under f64, ≥2× under f32.
+			if ratio := linalg.Width[F]() / 2; ratio*len(frame) > rawSize {
+				t.Fatalf("%s round %d: frame %d bytes does not cut raw %d by ≥%d×", tier, round, len(frame), rawSize, ratio)
 			}
 			if got := decodeOne(t, &dec, frame, &f); got != mode {
 				t.Fatalf("%s round %d: decoder saw mode %d", tier, round, got)
@@ -91,13 +101,22 @@ func TestUplinkQuantRoundTrip(t *testing.T) {
 // magnitudes dequantize to exactly what the in-place helpers compute,
 // and a NaN gradient fails the sign encode instead of emitting a frame
 // the decoder would reject.
-func TestUplinkQuantSpecialValues(t *testing.T) {
+func TestUplinkQuantSpecialValues(t *testing.T) { testUplinkQuantSpecialValues[float64](t) }
+
+// TestUplink32SignRejectsNaNScale runs the special-value checks —
+// including the NaN sign-scale refusal — at float32.
+func TestUplink32SignRejectsNaNScale(t *testing.T) { testUplinkQuantSpecialValues[float32](t) }
+
+// testUplinkQuantSpecialValues is the special-value check at width F
+// (at float32 the extreme magnitudes round to ±Inf and −0).
+func testUplinkQuantSpecialValues[F linalg.Float](t *testing.T) {
 	files := []int{3}
-	special := [][]float64{{0, math.Copysign(0, -1), 1e300, -1e-300, math.Inf(1), 2}}
+	huge, tiny := 1e300, -1e-300
+	special := [][]F{{0, F(math.Copysign(0, -1)), F(huge), F(tiny), F(math.Inf(1)), 2}}
 	for _, tier := range []UplinkTier{TierSign, TierInt8} {
-		enc := UplinkEncoder{Tier: tier}
-		dec := UplinkDecoder{Tier: tier}
-		var f GradFrame
+		enc := UplinkEncoderOf[F]{Tier: tier}
+		dec := UplinkDecoderOf[F]{Tier: tier}
+		var f GradFrameOf[F]
 		frame, _, _, err := enc.Encode(nil, 2, files, special)
 		if err != nil {
 			t.Fatalf("%s: %v", tier, err)
@@ -105,8 +124,8 @@ func TestUplinkQuantSpecialValues(t *testing.T) {
 		decodeOne(t, &dec, frame, &f)
 		checkReport(t, &f, 2, files, quantizeReport(tier, special))
 	}
-	enc := UplinkEncoder{Tier: TierSign}
-	if _, _, _, err := enc.Encode(nil, 2, files, [][]float64{{1, math.NaN()}}); err == nil {
+	enc := UplinkEncoderOf[F]{Tier: TierSign}
+	if _, _, _, err := enc.Encode(nil, 2, files, [][]F{{1, F(math.NaN())}}); err == nil {
 		t.Error("sign encode accepted a NaN gradient")
 	}
 }
@@ -114,12 +133,18 @@ func TestUplinkQuantSpecialValues(t *testing.T) {
 // TestUplinkQuantTierStrict: each decoder accepts exactly its tier's
 // modes — a lossless frame on a lossy stream (or vice versa) poisons
 // the stream instead of silently changing codecs.
-func TestUplinkQuantTierStrict(t *testing.T) {
+func TestUplinkQuantTierStrict(t *testing.T) { testUplinkQuantTierStrict[float64](t) }
+
+// TestUplink32TierGating runs the tier gating checks at float32.
+func TestUplink32TierGating(t *testing.T) { testUplinkQuantTierStrict[float32](t) }
+
+// testUplinkQuantTierStrict is the tier gating check at width F.
+func testUplinkQuantTierStrict[F linalg.Float](t *testing.T) {
 	files := []int{1}
-	grads := [][]float64{{1, -2, 3}}
+	grads := [][]F{{1, -2, 3}}
 	frames := map[UplinkTier][]byte{}
 	for _, tier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
-		enc := UplinkEncoder{Tier: tier}
+		enc := UplinkEncoderOf[F]{Tier: tier}
 		frame, _, _, err := enc.Encode(nil, 0, files, grads)
 		if err != nil {
 			t.Fatal(err)
@@ -134,8 +159,8 @@ func TestUplinkQuantTierStrict(t *testing.T) {
 	}
 	for decTier, ok := range accepts {
 		for _, encTier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
-			dec := UplinkDecoder{Tier: decTier}
-			var f GradFrame
+			dec := UplinkDecoderOf[F]{Tier: decTier}
+			var f GradFrameOf[F]
 			_, _, err := dec.Decode(frames[encTier], &f)
 			if want := slices.Contains(ok, encTier); (err == nil) != want {
 				t.Errorf("tier %s decoder, %s frame: err=%v, want accept=%v", decTier, encTier, err, want)
@@ -216,36 +241,30 @@ func TestUplinkInt8Grid(t *testing.T) {
 // the load-bearing determinism property for both lossy tiers: the
 // wire round trip delivers bit-for-bit the values the in-place helper
 // computes, so the engine pinned to a tier reproduces the wire path.
-func FuzzUplinkQuantRoundTrip(f *testing.F) {
+func FuzzUplinkQuantRoundTrip(f *testing.F)   { fuzzUplinkQuantRoundTrip[float64](f) }
+func FuzzUplinkQuant32RoundTrip(f *testing.F) { fuzzUplinkQuantRoundTrip[float32](f) }
+
+// fuzzUplinkQuantRoundTrip is the lossy round-trip fuzz body at width F.
+func fuzzUplinkQuantRoundTrip[F linalg.Float](f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d := len(raw) / 8
-		if d > 32 {
-			d = 32
-		}
+		d := min(len(raw)/linalg.Width[F](), 32)
 		if d == 0 {
 			return
 		}
-		g := make([]float64, d)
-		for i := 0; i < d; i++ {
-			var x uint64
-			for b := 0; b < 8; b++ {
-				x |= uint64(raw[i*8+b]) << (8 * b)
-			}
-			g[i] = math.Float64frombits(x)
-		}
+		g := fuzzFloats[F](raw, d)
 		files := []int{5}
-		grads := [][]float64{g}
+		grads := [][]F{g}
 		for _, tier := range []UplinkTier{TierSign, TierInt8} {
-			enc := UplinkEncoder{Tier: tier}
-			dec := UplinkDecoder{Tier: tier}
+			enc := UplinkEncoderOf[F]{Tier: tier}
+			dec := UplinkDecoderOf[F]{Tier: tier}
 			frame, _, _, err := enc.Encode(nil, 1, files, grads)
 			if err != nil {
 				// Sign refuses NaN scales; nothing to round-trip.
 				continue
 			}
-			var fr GradFrame
+			var fr GradFrameOf[F]
 			_, consumed, err := dec.Decode(frame, &fr)
 			if err != nil {
 				t.Fatalf("%s: decode own frame: %v", tier, err)
@@ -255,9 +274,9 @@ func FuzzUplinkQuantRoundTrip(f *testing.F) {
 			}
 			want := quantizeReport(tier, grads)
 			for i := 0; i < d; i++ {
-				if math.Float64bits(fr.Grads[0][i]) != math.Float64bits(want[0][i]) {
+				if linalg.Bits(fr.Grads[0][i]) != linalg.Bits(want[0][i]) {
 					t.Fatalf("%s: value %d: wire %x, engine %x", tier, i,
-						math.Float64bits(fr.Grads[0][i]), math.Float64bits(want[0][i]))
+						linalg.Bits(fr.Grads[0][i]), linalg.Bits(want[0][i]))
 				}
 			}
 		}
@@ -268,15 +287,18 @@ func FuzzUplinkQuantRoundTrip(f *testing.F) {
 // decoding must never panic, and any accepted frame must be canonical
 // — rebuilding it from the decoded values (scale = |value|, bit =
 // !signbit) reproduces exactly the consumed bytes.
-func FuzzDecodeUplinkSign(f *testing.F) {
-	var seedEnc UplinkEncoder
-	seedEnc.Tier = TierSign
-	seed, _, _, _ := seedEnc.Encode(nil, 1, []int{2, 9}, [][]float64{{1, -2, 0.5}, {3, 0, -0.25}})
+func FuzzDecodeUplinkSign(f *testing.F)   { fuzzDecodeUplinkSign[float64](f) }
+func FuzzDecodeUplink32Sign(f *testing.F) { fuzzDecodeUplinkSign[float32](f) }
+
+// fuzzDecodeUplinkSign is the sign-tier decode fuzz body at width F.
+func fuzzDecodeUplinkSign[F linalg.Float](f *testing.F) {
+	seedEnc := UplinkEncoderOf[F]{Tier: TierSign}
+	seed, _, _, _ := seedEnc.Encode(nil, 1, []int{2, 9}, [][]F{{1, -2, 0.5}, {3, 0, -0.25}})
 	f.Add(seed)
 	f.Add([]byte{UplinkSign, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := UplinkDecoder{Tier: TierSign}
-		var fr GradFrame
+		dec := UplinkDecoderOf[F]{Tier: TierSign}
+		var fr GradFrameOf[F]
 		mode, consumed, err := dec.Decode(data, &fr)
 		if err != nil {
 			return
@@ -297,17 +319,17 @@ func FuzzDecodeUplinkSign(f *testing.F) {
 			re = append32(re, uint32(v))
 		}
 		for _, g := range fr.Grads {
-			s := 0.0
+			var s F
 			if len(g) > 0 {
-				s = math.Abs(g[0])
+				s = absBits(g[0])
 			}
-			re = AppendF64(re, s)
+			re = appendFloat(re, s)
 		}
 		for _, g := range fr.Grads {
 			at := len(re)
 			re = append(re, make([]byte, signBytesPerRow(d))...)
 			for j, v := range g {
-				if !math.Signbit(v) {
+				if !math.Signbit(float64(v)) {
 					re[at+j/8] |= 1 << (j % 8)
 				}
 			}
@@ -325,15 +347,18 @@ func FuzzDecodeUplinkSign(f *testing.F) {
 // (min, scale, q) triples can dequantize to the same row — so unlike
 // the sign target there is no re-encode check; determinism is the
 // property aggregation needs.
-func FuzzDecodeUplinkInt8(f *testing.F) {
-	var seedEnc UplinkEncoder
-	seedEnc.Tier = TierInt8
-	seed, _, _, _ := seedEnc.Encode(nil, 1, []int{2, 9}, [][]float64{{1, -2, 0.5}, {3, 0, -0.25}})
+func FuzzDecodeUplinkInt8(f *testing.F)   { fuzzDecodeUplinkInt8[float64](f) }
+func FuzzDecodeUplink32Int8(f *testing.F) { fuzzDecodeUplinkInt8[float32](f) }
+
+// fuzzDecodeUplinkInt8 is the int8-tier decode fuzz body at width F.
+func fuzzDecodeUplinkInt8[F linalg.Float](f *testing.F) {
+	seedEnc := UplinkEncoderOf[F]{Tier: TierInt8}
+	seed, _, _, _ := seedEnc.Encode(nil, 1, []int{2, 9}, [][]F{{1, -2, 0.5}, {3, 0, -0.25}})
 	f.Add(seed)
 	f.Add([]byte{UplinkInt8, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := UplinkDecoder{Tier: TierInt8}
-		var a, b GradFrame
+		dec := UplinkDecoderOf[F]{Tier: TierInt8}
+		var a, b GradFrameOf[F]
 		mode, consumed, err := dec.Decode(data, &a)
 		if err != nil {
 			return
@@ -348,11 +373,35 @@ func FuzzDecodeUplinkInt8(f *testing.F) {
 			t.Fatal("re-decode header differs")
 		}
 		for i := range a.Grads {
-			for j := range a.Grads[i] {
-				if math.Float64bits(a.Grads[i][j]) != math.Float64bits(b.Grads[i][j]) {
-					t.Fatalf("re-decode value (%d,%d) differs", i, j)
-				}
+			if !linalg.EqualBits(a.Grads[i], b.Grads[i]) {
+				t.Fatalf("re-decode row %d differs", i)
 			}
 		}
 	})
+}
+
+func TestUplinkSizeHelpers(t *testing.T)   { testUplinkSizeHelpers[float64](t) }
+func TestUplink32SizeHelpers(t *testing.T) { testUplinkSizeHelpers[float32](t) }
+
+// testUplinkSizeHelpers pins the width-F size formulas against real
+// encodes of every self-contained tier.
+func testUplinkSizeHelpers[F linalg.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	n, d := 3, 21
+	grads := reportOf[F](rng, n, d)
+	files := []int{5, 6, 7}
+	for tier, want := range map[UplinkTier]int{
+		TierRaw:  UplinkRawSize[F](n, d),
+		TierSign: UplinkSignSize[F](n, d),
+		TierInt8: UplinkInt8Size[F](n, d),
+	} {
+		enc := UplinkEncoderOf[F]{Tier: tier}
+		buf, _, _, err := enc.Encode(nil, 1, files, grads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != want {
+			t.Fatalf("tier %s: encoded %d bytes, size helper says %d", tier, len(buf), want)
+		}
+	}
 }

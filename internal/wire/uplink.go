@@ -31,11 +31,15 @@
 //	u8  mode (1 = raw, 2 = delta, 3 = sign, 4 = int8; see quant.go
 //	    for the quantized layouts)
 //	raw:   one gradient frame (codec.go: u32 payload length, u32
-//	       worker, u32 n, u32 d, n×u32 file ids, n×d×f64 bit patterns)
+//	       worker, u32 n, u32 d, n×u32 file ids, n×d value bit patterns)
 //	delta: u32 worker, u32 n, u32 d, n×u32 file ids,
 //	       ⌈n·d/2⌉ nibble-packed XOR byte lengths (low nibble = even
 //	       value index), then per value its significant low-order XOR
 //	       bytes against the base value at the same (file, coordinate)
+//
+// Both directions are generic over the element width: at float32 every
+// XOR is of u32 bit patterns (lengths 0–4) and the raw frame carries
+// 4-byte values; the byte layout is otherwise identical.
 //
 // A delta frame is only valid against a base with the identical file
 // list and dimension; the decoder rejects anything else, and rejects
@@ -49,6 +53,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"byzshield/internal/linalg"
 )
 
 // Uplink frame modes.
@@ -66,15 +72,15 @@ const (
 // uplinkDeltaHeader is the mode byte plus worker, n, and d.
 const uplinkDeltaHeader = 13
 
-// UplinkRawSize returns the encoded size of a raw uplink frame with n
-// files of dimension d.
-func UplinkRawSize(n, d int) int { return 1 + GradFrameSize(n, d) }
+// UplinkRawSize returns the encoded size of a raw width-F uplink frame
+// with n files of dimension d.
+func UplinkRawSize[F linalg.Float](n, d int) int { return 1 + GradFrameSize[F](n, d) }
 
-// UplinkEncoder is the worker-side streaming state of the uplink
+// UplinkEncoderOf is the worker-side streaming state of the uplink
 // codec: the previous report (the delta base) plus encode scratch. One
 // encoder serves one ordered frame stream; a reconnect must Reset it
 // (the new connection's receiver holds no base).
-type UplinkEncoder struct {
+type UplinkEncoderOf[F linalg.Float] struct {
 	// Tier selects the codec this stream runs (the connection's
 	// negotiated tier, announced by the PS in its Welcome). TierRaw
 	// emits only self-contained raw frames and drops the delta base
@@ -86,13 +92,16 @@ type UplinkEncoder struct {
 	// falls back to raw exactly like a fresh connection.
 	Tier UplinkTier
 
-	prev      []float64 // previous report's values, flat n×d
-	prevFiles []int     // previous report's file ids
-	scratch   []byte    // delta build buffer
+	prev      []F    // previous report's values, flat n×d
+	prevFiles []int  // previous report's file ids
+	scratch   []byte // delta build buffer
 }
 
+// UplinkEncoder is the float64 uplink encoder.
+type UplinkEncoder = UplinkEncoderOf[float64]
+
 // Reset drops the delta base, as if no frame had been sent yet.
-func (e *UplinkEncoder) Reset() {
+func (e *UplinkEncoderOf[F]) Reset() {
 	e.prev = e.prev[:0]
 	e.prevFiles = e.prevFiles[:0]
 }
@@ -103,7 +112,7 @@ func (e *UplinkEncoder) Reset() {
 // chosen, and the size a raw frame would have had (the uncompressed
 // cost, for accounting the realized ratio). files and grads follow the
 // AppendGradFrame contract.
-func (e *UplinkEncoder) Encode(dst []byte, worker int, files []int, grads [][]float64) (out []byte, mode, rawSize int, err error) {
+func (e *UplinkEncoderOf[F]) Encode(dst []byte, worker int, files []int, grads [][]F) (out []byte, mode, rawSize int, err error) {
 	if len(files) != len(grads) {
 		return nil, 0, 0, fmt.Errorf("wire: %d files but %d gradients", len(files), len(grads))
 	}
@@ -117,7 +126,7 @@ func (e *UplinkEncoder) Encode(dst []byte, worker int, files []int, grads [][]fl
 			return nil, 0, 0, fmt.Errorf("wire: gradient %d has dim %d, want %d", i, len(g), d)
 		}
 	}
-	rawSize = UplinkRawSize(n, d)
+	rawSize = UplinkRawSize[F](n, d)
 	switch e.Tier {
 	case TierRaw:
 		e.Reset()
@@ -163,7 +172,7 @@ func (e *UplinkEncoder) Encode(dst []byte, worker int, files []int, grads [][]fl
 }
 
 // appendDelta builds the delta frame for the report against e.prev.
-func (e *UplinkEncoder) appendDelta(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
+func (e *UplinkEncoderOf[F]) appendDelta(dst []byte, worker int, files []int, grads [][]F) ([]byte, error) {
 	if worker < 0 || int64(worker) > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: worker id %d outside u32 range", worker)
 	}
@@ -184,7 +193,7 @@ func (e *UplinkEncoder) appendDelta(dst []byte, worker int, files []int, grads [
 	for i, g := range grads {
 		base := e.prev[i*d : (i+1)*d]
 		for j, v := range g {
-			x := math.Float64bits(base[j]) ^ math.Float64bits(v)
+			x := linalg.Bits(base[j]) ^ linalg.Bits(v)
 			nb := xorLen(x)
 			orNibbleLen(dst[nibbleAt:], idx, nb)
 			dst = appendXORBytes(dst, x, nb)
@@ -195,14 +204,14 @@ func (e *UplinkEncoder) appendDelta(dst []byte, worker int, files []int, grads [
 }
 
 // rollBase records the report as the next frame's delta base.
-func (e *UplinkEncoder) rollBase(files []int, grads [][]float64) {
+func (e *UplinkEncoderOf[F]) rollBase(files []int, grads [][]F) {
 	n := len(files)
 	d := 0
 	if n > 0 {
 		d = len(grads[0])
 	}
 	if cap(e.prev) < n*d {
-		e.prev = make([]float64, n*d)
+		e.prev = make([]F, n*d)
 	}
 	e.prev = e.prev[:n*d]
 	for i, g := range grads {
@@ -211,14 +220,14 @@ func (e *UplinkEncoder) rollBase(files []int, grads [][]float64) {
 	e.prevFiles = append(e.prevFiles[:0], files...)
 }
 
-// UplinkDecoder is the PS-side streaming state of the uplink codec for
+// UplinkDecoderOf is the PS-side streaming state of the uplink codec for
 // one worker connection: the previous accepted report, against which
 // delta frames are applied. Decode must see every frame of the stream
 // in order — including reports that arrive too late to count for their
 // round — or the base diverges from the encoder's; that is exactly why
 // the transport's reader pumps decode stale frames before retiring
 // them.
-type UplinkDecoder struct {
+type UplinkDecoderOf[F linalg.Float] struct {
 	// Tier mirrors the connection's negotiated tier on the PS side and
 	// bounds what the decoder accepts: TierRaw takes raw frames only
 	// (and skips the n×d float base copy per report), TierDelta takes
@@ -228,13 +237,16 @@ type UplinkDecoder struct {
 	// codecs.
 	Tier UplinkTier
 
-	prev       []float64
+	prev       []F
 	prevFiles  []int
 	prevWorker int
 }
 
+// UplinkDecoder is the float64 uplink decoder.
+type UplinkDecoder = UplinkDecoderOf[float64]
+
 // Reset drops the delta base (a fresh connection's state).
-func (dec *UplinkDecoder) Reset() {
+func (dec *UplinkDecoderOf[F]) Reset() {
 	dec.prev = dec.prev[:0]
 	dec.prevFiles = dec.prevFiles[:0]
 	dec.prevWorker = 0
@@ -247,7 +259,7 @@ func (dec *UplinkDecoder) Reset() {
 // lengths must be canonical, so any accepted frame re-encodes to the
 // consumed bytes. On error the base is unchanged and the stream must
 // be considered poisoned (the caller evicts the connection).
-func (dec *UplinkDecoder) Decode(src []byte, f *GradFrame) (mode, consumed int, err error) {
+func (dec *UplinkDecoderOf[F]) Decode(src []byte, f *GradFrameOf[F]) (mode, consumed int, err error) {
 	if len(src) < 1 {
 		return 0, 0, fmt.Errorf("wire: empty uplink frame")
 	}
@@ -291,7 +303,7 @@ func (dec *UplinkDecoder) Decode(src []byte, f *GradFrame) (mode, consumed int, 
 }
 
 // accepts reports whether the decoder's tier takes frames of mode m.
-func (dec *UplinkDecoder) accepts(m int) bool {
+func (dec *UplinkDecoderOf[F]) accepts(m int) bool {
 	switch dec.Tier {
 	case TierRaw:
 		return m == UplinkRaw
@@ -308,7 +320,7 @@ func (dec *UplinkDecoder) accepts(m int) bool {
 
 // decodeDelta parses a delta frame and applies it to the base,
 // leaving the reconstructed values in both f.Grads and the base.
-func (dec *UplinkDecoder) decodeDelta(src []byte, f *GradFrame) (int, error) {
+func (dec *UplinkDecoderOf[F]) decodeDelta(src []byte, f *GradFrameOf[F]) (int, error) {
 	if len(src) < uplinkDeltaHeader {
 		return 0, fmt.Errorf("wire: uplink delta frame truncated at %d bytes", len(src))
 	}
@@ -346,11 +358,12 @@ func (dec *UplinkDecoder) decodeDelta(src []byte, f *GradFrame) (int, error) {
 	nibbles, payload := body[:nb], body[nb:]
 	// First pass: validate every length and the total payload size so
 	// the base is never partially updated by a malformed frame.
+	w := linalg.Width[F]()
 	off := 0
 	for i := 0; i < n*d; i++ {
 		ln := nibbleLen(nibbles, i)
-		if ln > 8 {
-			return 0, fmt.Errorf("wire: uplink delta length %d > 8 at value %d", ln, i)
+		if ln > w {
+			return 0, fmt.Errorf("wire: uplink delta length %d > %d at value %d", ln, w, i)
 		}
 		if len(payload)-off < ln {
 			return 0, fmt.Errorf("wire: uplink delta payload truncated at value %d", i)
@@ -371,34 +384,24 @@ func (dec *UplinkDecoder) decodeDelta(src []byte, f *GradFrame) (int, error) {
 	}
 	f.Files = f.Files[:n]
 	copy(f.Files, dec.prevFiles)
-	if cap(f.Grads) < n {
-		grads := make([][]float64, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
+	growGrads(f, n, d)
 	off = 0
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float64, d)
-		}
-		g := f.Grads[i][:d]
+	for i, g := range f.Grads {
 		base := dec.prev[i*d : (i+1)*d]
 		for j := 0; j < d; j++ {
 			ln := nibbleLen(nibbles, i*d+j)
 			x := xorFromBytes(payload[off:], ln)
 			off += ln
-			v := math.Float64frombits(math.Float64bits(base[j]) ^ x)
+			v := linalg.FromBits[F](linalg.Bits(base[j]) ^ x)
 			base[j] = v
 			g[j] = v
 		}
-		f.Grads[i] = g
 	}
 	return uplinkDeltaHeader + n*4 + nb + off, nil
 }
 
 // rollBase records a raw frame's contents as the next delta base.
-func (dec *UplinkDecoder) rollBase(f *GradFrame) {
+func (dec *UplinkDecoderOf[F]) rollBase(f *GradFrameOf[F]) {
 	dec.prevWorker = f.Worker
 	n := len(f.Files)
 	d := 0
@@ -406,7 +409,7 @@ func (dec *UplinkDecoder) rollBase(f *GradFrame) {
 		d = len(f.Grads[0])
 	}
 	if cap(dec.prev) < n*d {
-		dec.prev = make([]float64, n*d)
+		dec.prev = make([]F, n*d)
 	}
 	dec.prev = dec.prev[:n*d]
 	for i, g := range f.Grads {

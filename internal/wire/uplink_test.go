@@ -6,25 +6,26 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"byzshield/internal/linalg"
 )
 
-// report builds a deterministic n×d gradient report.
-func report(rng *rand.Rand, n, d int) [][]float64 {
-	grads := make([][]float64, n)
+// report builds a deterministic n×d float64 gradient report.
+func report(rng *rand.Rand, n, d int) [][]float64 { return reportOf[float64](rng, n, d) }
+
+// reportOf builds a deterministic n×d gradient report at width F.
+func reportOf[F linalg.Float](rng *rand.Rand, n, d int) [][]F {
+	grads := make([][]F, n)
 	for i := range grads {
-		g := make([]float64, d)
-		for j := range g {
-			g[j] = rng.NormFloat64()
-		}
-		grads[i] = g
+		grads[i] = randVec[F](rng, d)
 	}
 	return grads
 }
 
 // perturbReport adds SGD-noise-sized jitter, leaving some values
 // exactly unchanged (the correlated-consecutive-reports regime).
-func perturbReport(rng *rand.Rand, grads [][]float64) [][]float64 {
-	out := make([][]float64, len(grads))
+func perturbReport[F linalg.Float](rng *rand.Rand, grads [][]F) [][]F {
+	out := make([][]F, len(grads))
 	for i, g := range grads {
 		out[i] = perturb(rng, g)
 	}
@@ -32,7 +33,7 @@ func perturbReport(rng *rand.Rand, grads [][]float64) [][]float64 {
 }
 
 // decodeOne decodes a single uplink frame, requiring full consumption.
-func decodeOne(t *testing.T, dec *UplinkDecoder, frame []byte, f *GradFrame) int {
+func decodeOne[F linalg.Float](t *testing.T, dec *UplinkDecoderOf[F], frame []byte, f *GradFrameOf[F]) int {
 	t.Helper()
 	mode, consumed, err := dec.Decode(frame, f)
 	if err != nil {
@@ -46,7 +47,7 @@ func decodeOne(t *testing.T, dec *UplinkDecoder, frame []byte, f *GradFrame) int
 
 // checkReport compares a decoded frame against the expected report
 // bit-for-bit.
-func checkReport(t *testing.T, f *GradFrame, worker int, files []int, grads [][]float64) {
+func checkReport[F linalg.Float](t *testing.T, f *GradFrameOf[F], worker int, files []int, grads [][]F) {
 	t.Helper()
 	if f.Worker != worker {
 		t.Fatalf("worker %d, want %d", f.Worker, worker)
@@ -56,9 +57,9 @@ func checkReport(t *testing.T, f *GradFrame, worker int, files []int, grads [][]
 	}
 	for i, g := range grads {
 		for j, v := range g {
-			if math.Float64bits(f.Grads[i][j]) != math.Float64bits(v) {
+			if linalg.Bits(f.Grads[i][j]) != linalg.Bits(v) {
 				t.Fatalf("value (%d,%d): bits %x, want %x", i, j,
-					math.Float64bits(f.Grads[i][j]), math.Float64bits(v))
+					linalg.Bits(f.Grads[i][j]), linalg.Bits(v))
 			}
 		}
 	}
@@ -68,13 +69,19 @@ func checkReport(t *testing.T, f *GradFrame, worker int, files []int, grads [][]
 // reports through an encoder/decoder pair: the first frame must be raw
 // (no base), later frames must pick delta in this regime and save
 // bytes, and every decode must be bit-exact.
-func TestUplinkStreamRoundTrip(t *testing.T) {
+func TestUplinkStreamRoundTrip(t *testing.T) { testUplinkStreamRoundTrip[float64](t) }
+
+// TestUplink32DeltaStream runs the streaming round trip at float32.
+func TestUplink32DeltaStream(t *testing.T) { testUplinkStreamRoundTrip[float32](t) }
+
+// testUplinkStreamRoundTrip is the streaming round trip at width F.
+func testUplinkStreamRoundTrip[F linalg.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	files := []int{2, 7, 19}
-	grads := report(rng, 3, 50)
-	var enc UplinkEncoder
-	var dec UplinkDecoder
-	var f GradFrame
+	grads := reportOf[F](rng, 3, 50)
+	var enc UplinkEncoderOf[F]
+	var dec UplinkDecoderOf[F]
+	var f GradFrameOf[F]
 	sawDelta := false
 	for round := 0; round < 6; round++ {
 		frame, mode, rawSize, err := enc.Encode(nil, 4, files, grads)
@@ -330,35 +337,49 @@ func FuzzUplinkRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeUplink feeds arbitrary bytes to a decoder holding a known
-// base: decoding must never panic, and any accepted frame must be
-// canonical — re-encoding the decoded report against the original base
-// reproduces exactly the consumed bytes.
-func FuzzDecodeUplink(f *testing.F) {
-	baseGrads := [][]float64{{1, -2, 0.5}, {3, 0, -0.25}}
+// FuzzDecodeUplink feeds arbitrary bytes to a lossless-tier decoder
+// (delta, or raw when the tier byte is odd) holding a known base:
+// decoding must never panic, a raw-tier decoder accepts only raw
+// frames, and any accepted frame must be canonical — re-encoding the
+// decoded report against the original base reproduces exactly the
+// consumed bytes. The lossy tiers have their own targets.
+func FuzzDecodeUplink(f *testing.F)   { fuzzDecodeUplink[float64](f) }
+func FuzzDecodeUplink32(f *testing.F) { fuzzDecodeUplink[float32](f) }
+
+// fuzzDecodeUplink is the uplink decode fuzz body at width F.
+func fuzzDecodeUplink[F linalg.Float](f *testing.F) {
+	baseGrads := [][]F{{1, -2, 0.5}, {3, 0, -0.25}}
 	baseFiles := []int{2, 9}
-	var seedEnc UplinkEncoder
+	var seedEnc UplinkEncoderOf[F]
 	seedRaw, _, _, _ := seedEnc.Encode(nil, 1, baseFiles, baseGrads)
 	seedDelta, _, _, _ := seedEnc.Encode(nil, 1, baseFiles,
-		[][]float64{{1.0001, -2, 0.5}, {3, 0.5, -0.25}})
-	f.Add(seedRaw)
-	f.Add(seedDelta)
-	f.Add([]byte{UplinkDelta, 1, 0, 0, 0, 2, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+		[][]F{{1.0001, -2, 0.5}, {3, 0.5, -0.25}})
+	f.Add(seedRaw, uint8(0))
+	f.Add(seedDelta, uint8(0))
+	f.Add([]byte{UplinkDelta, 1, 0, 0, 0, 2, 0, 0, 0}, uint8(0))
+	f.Add(seedRaw, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, tierByte uint8) {
+		tier := TierDelta
+		if tierByte%2 == 1 {
+			tier = TierRaw
+		}
 		// Install the known base in both directions.
-		var enc UplinkEncoder
-		var dec UplinkDecoder
+		var enc UplinkEncoderOf[F]
+		dec := UplinkDecoderOf[F]{Tier: tier}
 		frame, _, _, err := enc.Encode(nil, 1, baseFiles, baseGrads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fr GradFrame
+		var fr GradFrameOf[F]
 		if _, _, err := dec.Decode(frame, &fr); err != nil {
 			t.Fatal(err)
 		}
 		mode, consumed, err := dec.Decode(data, &fr)
 		if err != nil {
 			return
+		}
+		if tier == TierRaw && mode != UplinkRaw {
+			t.Fatalf("raw-tier decoder accepted mode %d", mode)
 		}
 		var re []byte
 		if mode == UplinkRaw {
@@ -370,7 +391,7 @@ func FuzzDecodeUplink(f *testing.F) {
 		} else {
 			// Rebuild an encoder holding the original base: the accepted
 			// delta must re-encode from it byte-for-byte.
-			var reEnc UplinkEncoder
+			var reEnc UplinkEncoderOf[F]
 			if _, _, _, err := reEnc.Encode(nil, fr.Worker, baseFiles, baseGrads); err != nil {
 				t.Fatal(err)
 			}

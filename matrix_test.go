@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"byzshield"
+	"byzshield/internal/cluster"
+	"byzshield/internal/distort"
 )
 
 // TestAttackAggregatorMatrix sweeps every registered attack against
 // every registered aggregator for a few rounds — the ByzFL-style
 // regression surface: no combination may error, produce non-finite
 // parameters, or distort more file votes than the Byzantine set
-// statically controls.
+// statically controls. The f32/<attack>/<aggregator> subtests run the
+// same matrix on the engine instantiated at float32.
 func TestAttackAggregatorMatrix(t *testing.T) {
 	asn, err := byzshield.NewMOLS(5, 3)
 	if err != nil {
@@ -81,6 +84,51 @@ func TestAttackAggregatorMatrix(t *testing.T) {
 				}
 				for i, p := range s.Params() {
 					if math.IsNaN(p) || math.IsInf(p, 0) {
+						t.Fatalf("param %d is %v after %s/%s", i, p, atkName, aggName)
+					}
+				}
+			})
+		}
+	}
+	byz := distort.NewAnalyzer(asn).MaxDistorted(context.Background(), 2).Byzantines
+	for _, atkName := range attacks {
+		for _, aggName := range aggregators {
+			t.Run("f32/"+atkName+"/"+aggName, func(t *testing.T) {
+				atk, err := byzshield.Registry.Attack(atkName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg, err := byzshield.Registry.Aggregator(aggName, params[aggName])
+				if err != nil {
+					t.Fatal(err)
+				}
+				mdl, err := byzshield.NewSoftmaxModel(8, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := cluster.NewEngine(cluster.ConfigOf[float32]{
+					Assignment: asn, Model: mdl, Train: train, Test: test,
+					BatchSize: 50, Attack: atk, Byzantines: byz, Aggregator: agg,
+					Schedule: byzshield.Schedule{Base: 0.05, Decay: 0.96, Every: 25},
+					Momentum: 0.9, Seed: 11,
+				})
+				if err != nil {
+					t.Fatalf("engine %s/%s: %v", atkName, aggName, err)
+				}
+				defer eng.Close()
+				corruptible := len(eng.CorruptibleFiles())
+				for round := 0; round < 3; round++ {
+					rs, err := eng.RunRound()
+					if err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					if rs.DistortedFiles > corruptible {
+						t.Fatalf("round %d distorted %d votes, but only %d files are corruptible",
+							round, rs.DistortedFiles, corruptible)
+					}
+				}
+				for i, p := range eng.Params() {
+					if f := float64(p); math.IsNaN(f) || math.IsInf(f, 0) {
 						t.Fatalf("param %d is %v after %s/%s", i, p, atkName, aggName)
 					}
 				}
