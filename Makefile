@@ -22,7 +22,8 @@ bench:
 # is generic over the element width and instantiated at float64 and at
 # float32 (the *32 names). Several names extend another by suffix
 # (FuzzDecodeUplink, FuzzDecodeUplinkSign), so the pattern is anchored.
-# FuzzDecodeMessage fuzzes the control-plane message decoder.
+# FuzzDecodeMessage fuzzes the control-plane message decoder, and
+# FuzzMedianCols the coordinate-median kernel against quickselect.
 fuzz: build
 	for t in FuzzParseFrameHeader FuzzReadFrame FuzzDecodeParams \
 	         FuzzParamsDeltaRoundTrip FuzzDecodeGradFrame FuzzGradFrameRoundTrip \
@@ -34,6 +35,7 @@ fuzz: build
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzMedianCols$$' -fuzztime $(FUZZTIME) ./internal/linalg
 
 lint:
 	@fmt_out=$$(gofmt -l .); \

@@ -40,6 +40,7 @@ type ChunkAggregator32 interface {
 // rules, so steady-state aggregation performs no per-round allocation.
 // One pool exists per element width (see getScratch).
 type chunkScratch[T linalg.Float] struct {
+	median linalg.MedianScratch[T]
 	col    []T
 	med    []T
 	means  []T
@@ -127,12 +128,14 @@ func (s *chunkScratch[T]) gatherCol(grads [][]T, i int) []T {
 //
 // Each rule's AggregateChunk and AggregateChunk32 call one generic body,
 // so the two precision tiers run the same reduction with only the
-// element width changed. The per-coordinate order statistics run on
-// scratch-reusing quickselect (linalg.SelectKth and friends) instead of
-// per-coordinate full sorts: selection is expected O(n) per coordinate
-// against O(n log n), and the selected values are exactly the sorted
-// order statistics, so results stay bit-identical to the sort-based
-// kernels (see BENCH_round.json for the before/after).
+// element width changed. The coordinate median runs on the tiled
+// sorting-network kernel (linalg.MedianCols); the rules that need other
+// order statistics run on scratch-reusing quickselect (linalg.SelectKth
+// and friends) instead of per-coordinate full sorts: selection is
+// expected O(n) per coordinate against O(n log n), and the selected
+// values are exactly the sorted order statistics, so results stay
+// bit-identical to the sort-based kernels (see BENCH_round.json for the
+// before/after of both).
 
 func meanChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	inv := 1 / T(len(grads))
@@ -145,12 +148,13 @@ func meanChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	}
 }
 
+// medianChunk runs the tiled network median (linalg.MedianCols): zero
+// medians come out as +0, every other median bit-identical to the
+// per-coordinate quickselect.
 func medianChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	s := getScratch[T](len(grads))
 	defer putScratch(s)
-	for i := lo; i < hi; i++ {
-		out[i] = linalg.MedianSelect(s.gatherCol(grads, i))
-	}
+	linalg.MedianCols(grads, out, lo, hi, &s.median)
 }
 
 func trimmedMeanChunk[T linalg.Float](grads [][]T, out []T, lo, hi, trim int) {

@@ -23,6 +23,8 @@ package detect
 import (
 	"math"
 	"sort"
+
+	"byzshield/internal/linalg"
 )
 
 // Default policy knobs, applied by Params.withDefaults for zero values.
@@ -110,8 +112,9 @@ type State struct {
 	reports [][]float64 // k × dim summed reports, views into one backing
 	present []bool      // worker reported this round
 
-	median []float64 // coordinate-wise median report of the live fleet
-	col    []float64 // per-coordinate scratch column (≤ k values)
+	median    []float64   // coordinate-wise median report of the live fleet
+	liveRows  [][]float64 // the live workers' reports, the median's rows
+	medianScr linalg.MedianScratch[float64]
 
 	hist    []Sample // k × Window flat ring buffers
 	histLen []int
@@ -149,7 +152,7 @@ func NewState(k, dim int, p Params) *State {
 		k: k, dim: dim, p: p,
 		present:     make([]bool, k),
 		median:      make([]float64, dim),
-		col:         make([]float64, 0, k),
+		liveRows:    make([][]float64, 0, k),
 		hist:        make([]Sample, k*p.Window),
 		histLen:     make([]int, k),
 		histPos:     make([]int, k),
@@ -225,14 +228,12 @@ func (s *State) Observe(det Detector) {
 		return
 	}
 
-	for j := 0; j < s.dim; j++ {
-		col := s.col[:0]
-		for _, u := range live {
-			col = append(col, s.reports[u][j])
-		}
-		s.col = col
-		s.median[j] = medianInPlace(col)
+	rows := s.liveRows[:0]
+	for _, u := range live {
+		rows = append(rows, s.reports[u])
 	}
+	s.liveRows = rows
+	linalg.MedianCols(rows, s.median, 0, s.dim, &s.medianScr)
 
 	medNorm := norm(s.median)
 	for i, u := range live {

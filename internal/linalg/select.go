@@ -108,6 +108,12 @@ func SortAscending[T Float](xs []T) {
 // result is the value linalg.MedianOf computes on a copy: the middle
 // order statistic, or the average of the two middle ones for even
 // counts.
+//
+// Contract: the value is exact, but when the median is a zero or a NaN
+// its sign or payload is unspecified — which of the equal-ordering
+// elements lands in the middle depends on their positions in xs. The
+// coordinate-median kernel MedianCols fixes both (+0, one NaN) and
+// agrees with MedianSelect bit for bit on every other median.
 func MedianSelect[T Float](xs []T) T {
 	n := len(xs)
 	if n == 0 {

@@ -114,13 +114,23 @@ func AxpyInPlace[T Float](a []T, s T, b []T) {
 
 // Dot returns the inner product of a and b. The accumulation is a
 // single serial sum — unrolled accumulators would change the rounding
-// sequence, and downstream consumers pin the exact result.
+// sequence, and downstream consumers pin the exact result. The loop is
+// unrolled four wide around that one accumulator, so the additions
+// happen in index order exactly as in a one-element loop.
 func Dot[T Float](a, b []T) T {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("linalg: dot dim mismatch %d vs %d", len(a), len(b)))
 	}
+	b = b[:len(a)]
 	var s T
-	for i := range a {
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s += a[i] * b[i]
+		s += a[i+1] * b[i+1]
+		s += a[i+2] * b[i+2]
+		s += a[i+3] * b[i+3]
+	}
+	for ; i < len(a); i++ {
 		s += a[i] * b[i]
 	}
 	return s
@@ -218,18 +228,12 @@ func StdVecInto[T Float](out, mean []T, vs [][]T) []T {
 	return out
 }
 
-// MedianVec returns the coordinate-wise median. For even counts the
-// average of the two central order statistics is used.
+// MedianVec returns the coordinate-wise median (MedianCols over every
+// coordinate). For even counts the average of the two central order
+// statistics is used.
 func MedianVec[T Float](vs [][]T) []T {
-	d := checkSameLen(vs)
-	out := make([]T, d)
-	col := make([]T, len(vs))
-	for i := 0; i < d; i++ {
-		for j, v := range vs {
-			col[j] = v[i]
-		}
-		out[i] = MedianSelect(col)
-	}
+	out := make([]T, checkSameLen(vs))
+	MedianCols(vs, out, 0, len(out), nil)
 	return out
 }
 

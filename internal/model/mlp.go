@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"byzshield/internal/data"
+	"byzshield/internal/linalg"
 )
 
 // ln is a local alias making the loss code read like the math.
@@ -120,12 +121,7 @@ func (m *MLP) forward(params, x []float64, s *mlpScratch) {
 		b := params[off+inDim*outDim : off+inDim*outDim+outDim]
 		pre := s.preacts[layer]
 		for o := 0; o < outDim; o++ {
-			row := w[o*inDim : (o+1)*inDim]
-			var v float64
-			for j, xv := range in {
-				v += row[j] * xv
-			}
-			pre[o] = v + b[o]
+			pre[o] = linalg.Dot(w[o*inDim:(o+1)*inDim], in) + b[o]
 		}
 		act := s.acts[layer+1]
 		copy(act, pre)
@@ -192,10 +188,7 @@ func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []f
 				if dv == 0 {
 					continue
 				}
-				row := wGrad[o*inDim : (o+1)*inDim]
-				for j, xv := range in {
-					row[j] += dv * xv
-				}
+				linalg.AxpyInPlace(wGrad[o*inDim:(o+1)*inDim], dv, in)
 				bGrad[o] += dv
 			}
 			if layer > 0 {
@@ -208,10 +201,7 @@ func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []f
 					if dv == 0 {
 						continue
 					}
-					row := w[o*inDim : (o+1)*inDim]
-					for j := range newDelta {
-						newDelta[j] += dv * row[j]
-					}
+					linalg.AxpyInPlace(newDelta, dv, w[o*inDim:(o+1)*inDim])
 				}
 				pre := s.preacts[layer-1]
 				for j := range newDelta {

@@ -23,7 +23,9 @@ const (
 	PhaseCollect
 	// PhaseVote is the per-file majority vote.
 	PhaseVote
-	// PhaseAggregate is robust aggregation + the optimizer step.
+	// PhaseAggregate is robust aggregation + the per-sample scaling of
+	// the update. The optimizer step runs after the span closes and
+	// falls in no phase.
 	PhaseAggregate
 	// PhaseDetect is the detection/reputation pass (zero when no
 	// detector is configured).
