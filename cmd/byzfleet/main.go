@@ -1,11 +1,11 @@
 // Command byzfleet runs the fleet-scaling sweep of the aggregation
 // plane: for each worker count it drives a loopback fleet through the
-// single-loop (pre-shard config), serial, sharded, sharded+pipelined,
-// and quantized (pipelined plane on the lossy int8 uplink tier)
-// planes over the identical spec, checks every mode's final parameters
-// bit-for-bit against the in-process engine — the quantized mode
-// against an engine pinned to the same tier and shard count — and
-// reports rounds/sec with the speedup over the single-loop baseline.
+// serial (pre-shard config), sharded, sharded+pipelined, and quantized
+// (pipelined plane on the lossy int8 uplink tier) planes over the
+// identical spec, checks every mode's final parameters bit-for-bit
+// against the in-process engine — the quantized mode against an engine
+// pinned to the same tier and shard count — and reports rounds/sec
+// with the speedup over the serial baseline.
 // -json emits the points as a JSON array (the shape appended to
 // BENCH_round.json); -modes isolates one plane for profiling with
 // -cpuprofile (e.g. -modes quantized).

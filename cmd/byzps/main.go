@@ -35,11 +35,7 @@
 // refreshes; -full-every controls the cadence (1 = full every round).
 // Worker→PS gradient reports run the negotiated uplink codec tier:
 //
-//	-uplink delta   XOR deltas against each worker's previous report,
-//	                raw fallback per frame (bit-exact; the default)
-//	-uplink raw     uncompressed frames (recommended for CPU-bound
-//	                loopback fleets, where the delta codec's two extra
-//	                passes per gradient cost more than the bytes saved)
+//	-uplink raw     uncompressed frames (bit-exact; the default)
 //	-uplink sign    lossy 1-bit sign quantization, one scale per
 //	                (file, shard) row — ~64x fewer gradient bytes
 //	-uplink int8    lossy 8-bit linear quantization, min/scale per
@@ -49,8 +45,8 @@
 // dequantized values, so the trajectory is deterministic (and matches
 // the in-process engine on the same tier bit for bit) but differs from
 // the lossless trajectory. Workers advertise the tiers they support at
-// Hello; the server downgrades to the best mutually supported lossless
-// tier rather than substituting a different lossy one.
+// Hello; the server downgrades to raw rather than substituting a
+// different lossy one.
 // -v logs per-round participation and wire-volume stats, and the lifecycle
 // counters (joins, rejoins, evictions, stale frames retired) print at
 // shutdown.
@@ -60,7 +56,7 @@
 // aggregate independently as their report frames land, and -pipeline
 // piggybacks round t+1's sample assignments on round t's parameter
 // broadcast so steady-state rounds reuse one pre-encoded RoundStart
-// frame. Both are bit-identical to the single-loop plane:
+// frame. Both are bit-identical to the unsharded plane:
 //
 //	byzps ... -shards 4 -pipeline
 //
@@ -133,8 +129,8 @@ func main() {
 			"per-round report-collection deadline (negative disables; stalled workers miss the round)")
 		fullEvery = flag.Int("full-every", transport.DefaultFullBroadcastEvery,
 			"full parameter-broadcast cadence (1 = full vector every round, N = deltas between every N-th round)")
-		uplink = flag.String("uplink", "delta",
-			"worker→PS report codec tier: raw, delta (bit-exact XOR compression), sign or int8 (lossy quantization)")
+		uplink = flag.String("uplink", "raw",
+			"worker→PS report codec tier: raw (bit-exact), sign or int8 (lossy quantization)")
 		precision = flag.String("precision", "f64",
 			"numeric precision of the run: f64 or f32 (float32 kernels and frames; every plane, not the MLP; workers follow the handshake)")
 		shardCount = flag.Int("shards", 0,

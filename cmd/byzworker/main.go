@@ -63,7 +63,7 @@ func main() {
 		resumeToken = flag.String("resume-token", "",
 			"session token (hex, from the first join's log line) to rejoin a run after a process restart")
 		uplinkTiers = flag.String("uplink-tiers", "",
-			"comma-separated report codec tiers to offer the server (raw, delta, sign, int8; empty = all) — restricting the list forces the server to downgrade this connection to a mutually supported lossless tier")
+			"comma-separated report codec tiers to offer the server (raw, sign, int8; empty = all) — restricting the list forces the server to downgrade this connection to raw")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 		metricsAddr = flag.String("metrics-addr", "",
 			"diagnostics listen address serving /metrics, /healthz and /debug/pprof (empty = disabled)")

@@ -86,17 +86,15 @@ type roundArena[F linalg.Float] struct {
 	// files is the reusable batch→file partition table (the per-file
 	// slices are views into the sampler's batch buffer).
 	files [][]int
-	// encBuf and rxFrame are the communication round-trip scratch;
-	// upEnc[u]/upDec[u] are worker u's uplink codec stream state —
-	// exactly the state each TCP connection pair holds, so measured
-	// communication exercises the same raw-vs-delta self-selection
-	// (allocated only when MeasureComm is set).
+	// encBuf and rxFrame are the communication round-trip scratch, and
+	// upEnc/upDec the uplink codec pair every worker's messages pass
+	// through (the codec is stateless, so one pair serves them all).
 	encBuf  []byte
 	rxFrame wire.GradFrameOf[F]
-	upEnc   []wire.UplinkEncoderOf[F]
-	upDec   []wire.UplinkDecoderOf[F]
+	upEnc   wire.UplinkEncoderOf[F]
+	upDec   wire.UplinkDecoderOf[F]
 	// txRows/rxRows are the per-shard row-view scratch of the measured
-	// lossy-uplink round-trip (sized to the widest worker's slot count,
+	// uplink round-trip (sized to the widest worker's slot count,
 	// allocated only when MeasureComm is set).
 	txRows [][]F
 	rxRows [][]F
@@ -168,8 +166,6 @@ func newRoundArena[F linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 		ar.prevAck = make([]bool, a.K)
 		ar.crashed = make([]bool, a.K)
 		ar.bcastScratch = make([]F, dim)
-		ar.upEnc = make([]wire.UplinkEncoderOf[F], a.K)
-		ar.upDec = make([]wire.UplinkDecoderOf[F], a.K)
 		maxSlots := 0
 		for u := 0; u < a.K; u++ {
 			if n := len(ar.workerFiles[u]); n > maxSlots {

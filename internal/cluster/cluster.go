@@ -97,14 +97,13 @@ type ConfigOf[F linalg.Float] struct {
 	// is applied directly (scaled only by the learning rate).
 	SignMessages bool
 	// UplinkTier pins the in-process engine to one worker→PS codec tier
-	// (wire.UplinkTier). The lossless tiers (TierDelta, the zero value,
-	// and TierRaw) are no-ops here — compression is a wire concern
-	// invisible to training — but a lossy tier (TierSign, TierInt8)
-	// makes every collected gradient pass through the exact
-	// quantize→dequantize float operations of the wire codec, per
-	// aggregation-shard coordinate range, so the engine reproduces a
-	// lossy-tier TCP run bit-for-bit (the loopback==engine pinning the
-	// transport tests rely on). Mutually exclusive with SignMessages
+	// (wire.UplinkTier). The lossless TierRaw, the zero value, is a
+	// no-op here — framing is a wire concern invisible to training —
+	// but a lossy tier (TierSign, TierInt8) makes every collected
+	// gradient pass through the exact quantize→dequantize float
+	// operations of the wire codec, per aggregation-shard coordinate
+	// range, so the engine reproduces a lossy-tier TCP run bit-for-bit
+	// (the loopback==engine pinning the transport tests rely on). Mutually exclusive with SignMessages
 	// (two different message semantics) and with Source (a network
 	// source's workers quantize on their own side of the wire).
 	UplinkTier wire.UplinkTier
@@ -204,12 +203,12 @@ type PhaseTimes struct {
 	// from Aggregation so the Figure-12 phase split stays honest.
 	Detect time.Duration
 	// ReportBytes counts the serialized worker→PS gradient-report bytes
-	// as they move (or are measured) on the wire — compressed uplink
-	// frames where the codec chose a delta, raw frames otherwise.
+	// as they move (or are measured) on the wire — quantized frames on
+	// a lossy uplink tier, raw frames otherwise.
 	ReportBytes int64
 	// ReportRawBytes is what the same reports would have cost as raw
 	// frames; ReportBytes/ReportRawBytes is the realized uplink
-	// compression ratio (1.0 when every frame fell back to raw).
+	// compression ratio (1.0 on the raw tier).
 	ReportRawBytes int64
 	// BroadcastBytes counts the serialized PS→worker parameter
 	// broadcast (full or delta frames) when the source measures it.
@@ -381,7 +380,7 @@ func NewEngine[F linalg.Float](cfg ConfigOf[F]) (*EngineOf[F], error) {
 	if cfg.Source != nil {
 		if cfg.Attack != nil || len(cfg.Byzantines) > 0 || cfg.SignMessages ||
 			cfg.VoteTolerance != 0 || cfg.MeasureComm || cfg.Fault != nil ||
-			cfg.UplinkTier != wire.TierDelta {
+			cfg.UplinkTier != wire.TierRaw {
 			return nil, fmt.Errorf("cluster: Attack/Byzantines/SignMessages/VoteTolerance/MeasureComm/Fault/UplinkTier " +
 				"are in-process source knobs; they must be unset when Source is provided")
 		}
@@ -487,10 +486,8 @@ func NewEngine[F linalg.Float](cfg ConfigOf[F]) (*EngineOf[F], error) {
 	// (faults by plan, detection by blacklist), so either forces the
 	// full-oracle arena: any file's live honest replicas may vanish.
 	e.arena = newRoundArena[F](cfg.Assignment, cfg.Model.NumParams(), byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
-	for u := range e.arena.upEnc {
-		e.arena.upEnc[u].Tier = cfg.UplinkTier
-		e.arena.upDec[u].Tier = cfg.UplinkTier
-	}
+	e.arena.upEnc.Tier = cfg.UplinkTier
+	e.arena.upDec.Tier = cfg.UplinkTier
 	if n := wire.ShardCount(cfg.Shards, cfg.Model.NumParams()); n > 1 {
 		e.plane = newShardPlane(n, cfg.Model.NumParams(), cfg.Assignment.F, cfg.Assignment.K)
 	}

@@ -638,7 +638,7 @@ func testLossyTierMatchesWireQuant[F linalg.Float](t *testing.T) {
 		}
 
 		lossless := base
-		lossless.UplinkTier = wire.TierDelta
+		lossless.UplinkTier = wire.TierRaw
 		if got := runOf(t, lossless, 5); linalg.EqualBits(serial, got) {
 			t.Errorf("tier %s: lossy run identical to lossless (quantization not applied)", tier)
 		}

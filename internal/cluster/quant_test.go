@@ -63,20 +63,18 @@ func TestUplinkTierValidation(t *testing.T) {
 
 // TestLossyUplinkDeterministicAndLossy: a lossy-tier run is exactly
 // reproducible (two identical runs land on the same bits — the
-// quantizer has no entropy source), the lossless tiers are bit-exact
-// no-ops in the engine, and the lossy tiers actually move the
+// quantizer has no entropy source), the lossless raw tier is a
+// bit-exact no-op in the engine, and the lossy tiers actually move the
 // trajectory off the lossless bits.
 func TestLossyUplinkDeterministicAndLossy(t *testing.T) {
 	const rounds = 8
 	cfg := testSetup(t, nil, attack.Benign{}, aggregate.Median{})
 	base := runParams(t, cfg, rounds)
 
-	for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierDelta} {
-		c := cfg
-		c.UplinkTier = tier
-		if !paramsEqual(runParams(t, c, rounds), base) {
-			t.Errorf("lossless tier %s changed the engine trajectory", tier)
-		}
+	raw := cfg
+	raw.UplinkTier = wire.TierRaw
+	if !paramsEqual(runParams(t, raw, rounds), base) {
+		t.Error("lossless raw tier changed the engine trajectory")
 	}
 	for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
 		c := cfg
@@ -119,7 +117,7 @@ func TestLossyUplinkMeasureCommBitIdentical(t *testing.T) {
 // TestLossyUplinkShardGranularity: the quantization granularity is the
 // aggregation shard range — a sharded worker frames each shard with
 // its own scale parameters — so a sharded lossy engine must NOT land
-// on the unsharded lossy engine's bits. (Lossless tiers are
+// on the unsharded lossy engine's bits. (The raw tier is
 // shard-invariant; the lossy tiers are deliberately not.)
 func TestLossyUplinkShardGranularity(t *testing.T) {
 	const rounds = 6
@@ -179,7 +177,7 @@ func TestLossyUplinkConvergenceParity(t *testing.T) {
 	}
 	for _, av := range attacks {
 		for _, gv := range aggs {
-			base := run(av.atk, av.byz, gv.agg, wire.TierDelta)
+			base := run(av.atk, av.byz, gv.agg, wire.TierRaw)
 			for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
 				acc := run(av.atk, av.byz, gv.agg, tier)
 				t.Logf("%s/%s: %s acc %.3f vs lossless %.3f", av.name, gv.name, tier, acc, base)

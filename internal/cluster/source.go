@@ -19,8 +19,8 @@ type CollectStats struct {
 	Compute       time.Duration
 	Communication time.Duration
 	// ReportBytes counts serialized worker→PS report bytes as they
-	// moved (compressed uplink frames); ReportRawBytes what the same
-	// reports would have cost raw. See PhaseTimes.
+	// moved (quantized frames on a lossy tier); ReportRawBytes what the
+	// same reports would have cost raw. See PhaseTimes.
 	ReportBytes    int64
 	ReportRawBytes int64
 	// BroadcastBytes counts serialized PS→worker parameter-broadcast
@@ -322,12 +322,12 @@ func (s localSource[F]) Collect(_ context.Context, rd *RoundOf[F]) (CollectStats
 	}
 
 	// --- Communication phase: move every surviving worker's message to
-	// the PS through the uplink gradient codec — per-worker encoder and
-	// decoder state, exactly as each TCP connection pair holds it, so
-	// the codec's raw-vs-delta self-selection is physically exercised
-	// and the realized ratio is measured, not modelled. The decoded
-	// receive buffers become the PS's working set, as bytes off a wire
-	// would.
+	// the PS through the uplink gradient codec, framed per aggregation
+	// shard exactly as a wire worker frames its reports, so the realized
+	// bytes are measured, not modelled — and a lossy tier's per-(file,
+	// shard) scale parameters match the unmeasured engine and the wire
+	// bit for bit. The decoded receive buffers become the PS's working
+	// set, as bytes off a wire would.
 	commStart := time.Now()
 	var commBytes, rawBytes, bcastBytes int64
 	if e.cfg.MeasureComm {
@@ -335,54 +335,39 @@ func (s localSource[F]) Collect(_ context.Context, rd *RoundOf[F]) (CollectStats
 		if bcastBytes, err = s.measureBroadcast(); err != nil {
 			return CollectStats{}, err
 		}
+		shards := 1
+		if e.plane != nil {
+			shards = e.plane.n
+		}
 		for u := 0; u < a.K; u++ {
 			if ar.missing[u] {
-				// No report: encoder and decoder bases both stay put, so
-				// the pair stays in lockstep across the gap.
 				continue
 			}
-			if pl := e.plane; pl != nil && e.cfg.UplinkTier.Lossy() {
-				// A sharded wire worker frames each shard range as its own
-				// report — lossy rows carry per-(file, shard) scale
-				// parameters — so the measured round-trip must quantize at
-				// the same granularity for the trajectory to stay
-				// bit-identical to the unmeasured engine and the wire.
-				rows := ar.cur[u]
-				for sh := 0; sh < pl.n; sh++ {
-					lo, hi := pl.ranges[sh][0], pl.ranges[sh][1]
-					for j := range rows {
-						ar.txRows[j] = rows[j][lo:hi]
-						ar.rxRows[j] = ar.rx[u][j][lo:hi:hi]
-					}
-					buf, _, rawSize, err := ar.upEnc[u].Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
-					if err != nil {
-						return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-					}
-					ar.encBuf = buf
-					ar.rxFrame.Grads = ar.rxRows[:len(rows)]
-					if _, _, err := ar.upDec[u].Decode(buf, &ar.rxFrame); err != nil {
-						return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-					}
-					commBytes += int64(len(buf))
-					rawBytes += int64(rawSize)
+			rows := ar.cur[u]
+			for sh := 0; sh < shards; sh++ {
+				lo, hi := 0, ar.dim
+				if e.plane != nil {
+					lo, hi = e.plane.ranges[sh][0], e.plane.ranges[sh][1]
 				}
-				copy(ar.cur[u], ar.rx[u])
-				continue
-			}
-			buf, _, rawSize, err := ar.upEnc[u].Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.cur[u])
-			if err != nil {
-				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-			}
-			ar.encBuf = buf
-			ar.rxFrame.Grads = ar.rx[u]
-			if _, _, err := ar.upDec[u].Decode(buf, &ar.rxFrame); err != nil {
-				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
+				for j := range rows {
+					ar.txRows[j] = rows[j][lo:hi]
+					ar.rxRows[j] = ar.rx[u][j][lo:hi:hi]
+				}
+				buf, _, rawSize, err := ar.upEnc.Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
+				if err != nil {
+					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
+				}
+				ar.encBuf = buf
+				ar.rxFrame.Grads = ar.rxRows[:len(rows)]
+				if _, _, err := ar.upDec.Decode(buf, &ar.rxFrame); err != nil {
+					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
+				}
+				commBytes += int64(len(buf))
+				rawBytes += int64(rawSize)
 			}
 			// Decode fills the rx buffers in place (capacities always
 			// suffice); repoint the PS's view at them.
 			copy(ar.cur[u], ar.rx[u])
-			commBytes += int64(len(buf))
-			rawBytes += int64(rawSize)
 		}
 	}
 	commTime := time.Since(commStart)

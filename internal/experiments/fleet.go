@@ -24,25 +24,19 @@ type FleetMode struct {
 	Shards   int
 	Pipeline bool
 	// Uplink is the report codec tier the server negotiates for this
-	// mode (the pre-shard plane hard-wired the XOR delta codec).
+	// mode.
 	Uplink wire.UplinkTier
 }
 
 // FleetModes are the planes every sweep point runs, in order:
 //
-//   - single-loop: the plane as it shipped before sharding — one
+//   - serial: the plane as it shipped before sharding — one
 //     aggregation pass over the whole vector after every report lands,
-//     no round prep, and the XOR-compressed uplink (which had no
-//     opt-out). This is the baseline the speedup column is relative
-//     to.
-//   - serial: the same single-loop plane with the raw uplink, so the
-//     curve separates what the uplink codec choice buys from what the
-//     sharded/pipelined plane buys.
-//   - sharded / pipelined: the new plane (per-shard report streams and
-//     early shard votes; plus prep pipelining), raw uplink — the
-//     configuration shipped for CPU-bound loopback fleets, where the
-//     delta codec's two extra passes per gradient cost more than the
-//     ~2% of bytes they save.
+//     no round prep — on the raw uplink. This is the baseline the
+//     speedup column is relative to.
+//   - sharded / pipelined: per-shard report frames and early shard
+//     votes; plus prep pipelining — the configuration shipped for
+//     CPU-bound loopback fleets.
 //   - quantized: the pipelined plane on the lossy int8 uplink tier —
 //     every report row ships 8-bit linear-quantized with per-(file,
 //     shard) scale parameters. Its trajectory is checked bit-for-bit
@@ -50,7 +44,6 @@ type FleetMode struct {
 //     count, not against the lossless reference.
 func FleetModes(shards int) []FleetMode {
 	return []FleetMode{
-		{Name: "single-loop", Uplink: wire.TierDelta},
 		{Name: "serial", Uplink: wire.TierRaw},
 		{Name: "sharded", Shards: shards, Uplink: wire.TierRaw},
 		{Name: "pipelined", Shards: shards, Pipeline: true, Uplink: wire.TierRaw},
@@ -69,9 +62,9 @@ type FleetPoint struct {
 	// fleet join, first broadcasts — are excluded).
 	Elapsed      time.Duration
 	RoundsPerSec float64
-	// Speedup is RoundsPerSec over the single-loop baseline (the plane
-	// as configured before sharding) at the same worker count (1 for
-	// the baseline itself).
+	// Speedup is RoundsPerSec over the serial baseline (the plane as
+	// configured before sharding) at the same worker count (1 for the
+	// baseline itself).
 	Speedup float64
 	// ParamsHash fingerprints the final parameter bits (FNV-1a over
 	// the IEEE-754 words); every mode at a worker count must agree,
@@ -105,7 +98,7 @@ type FleetConfig struct {
 	// (default 2).
 	Shards int
 	// Modes restricts the sweep to the named planes (default all).
-	// Without "single-loop" in the set there is no baseline, so the
+	// Without "serial" in the set there is no baseline, so the
 	// speedup column stays zero — useful when profiling one plane in
 	// isolation.
 	Modes []string
@@ -210,18 +203,11 @@ func runFleetPoint[F linalg.Float](ctx context.Context, c FleetConfig, spec tran
 	pt := FleetPoint{Workers: spec.K, Files: spec.K / 3, Mode: mode.Name, Rounds: c.Rounds}
 	var windowStart, windowEnd time.Time
 	srvCfg := transport.ServerConfig{
-		Spec:         spec,
-		Shards:       mode.Shards,
-		Pipeline:     mode.Pipeline,
-		EvalEvery:    spec.Rounds + 1,
-		RoundTimeout: 5 * time.Minute,
-		// Lossless modes other than single-loop run the raw uplink:
-		// XOR-delta costs two full passes over every gradient per round
-		// to save ~2% of bytes on decorrelated gradient data — on a
-		// CPU-bound loopback fleet that codec tax dominates the profile.
-		// The single-loop baseline keeps the delta codec because the
-		// pre-shard plane had no opt-out; the serial mode isolates that
-		// difference. The quantized mode runs the lossy int8 tier.
+		Spec:               spec,
+		Shards:             mode.Shards,
+		Pipeline:           mode.Pipeline,
+		EvalEvery:          spec.Rounds + 1,
+		RoundTimeout:       5 * time.Minute,
 		Uplink:             mode.Uplink,
 		FullBroadcastEvery: 1,
 		Tracer:             c.Tracer,
@@ -281,15 +267,14 @@ func runFleetPoint[F linalg.Float](ctx context.Context, c FleetConfig, spec tran
 }
 
 // FleetScaling runs the rounds/sec-vs-worker-count scaling sweep: for
-// each worker count, the single-loop (pre-shard config), serial,
-// sharded, sharded+pipelined, and quantized planes drive the same
-// loopback fleet over the identical Spec, and every mode's final
-// parameters are checked bit-for-bit against an in-process engine —
-// the lossless modes against one shared reference (raw and delta
-// codecs are bit-exact, so all four must land on the same bits), the
-// quantized mode against an engine pinned to its own uplink tier and
-// shard count. The returned points are grouped by worker count in mode
-// order (single-loop first).
+// each worker count, the serial (pre-shard config), sharded,
+// sharded+pipelined, and quantized planes drive the same loopback
+// fleet over the identical Spec, and every mode's final parameters are
+// checked bit-for-bit against an in-process engine — the lossless
+// modes against one shared reference (all three must land on the same
+// bits), the quantized mode against an engine pinned to its own uplink
+// tier and shard count. The returned points are grouped by worker
+// count in mode order (serial first).
 func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 	if cfg.Rounds < 1 {
 		cfg.Rounds = 20
@@ -330,7 +315,7 @@ func fleetScaling[F linalg.Float](ctx context.Context, cfg FleetConfig) ([]Fleet
 			return nil, fmt.Errorf("fleet: worker count %d is not a positive multiple of 3 (FRC r=3)", k)
 		}
 		spec := cfg.fleetSpec(k)
-		losslessRef, err := engineFinalParams[F](spec, 0, wire.TierDelta)
+		losslessRef, err := engineFinalParams[F](spec, 0, wire.TierRaw)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +352,7 @@ func fleetScaling[F linalg.Float](ctx context.Context, cfg FleetConfig) ([]Fleet
 				}
 			}
 			pt.BitIdentical = allIdentical
-			if mode.Name == "single-loop" {
+			if mode.Name == "serial" {
 				baseline = pt.RoundsPerSec
 			}
 			if baseline > 0 {

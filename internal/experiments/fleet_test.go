@@ -7,11 +7,11 @@ import (
 )
 
 // TestFleetScalingSmoke drives the scaling sweep end to end at the
-// smallest fleet: all five planes over one worker count, asserting
+// smallest fleet: all four planes over one worker count, asserting
 // every mode reproduces its in-process engine reference bit-for-bit
 // (the lossless modes sharing one trajectory, the quantized mode its
 // own tier-pinned one) and the speedup column is anchored to the
-// single-loop baseline.
+// serial baseline.
 func TestFleetScalingSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -48,12 +48,12 @@ func TestFleetScalingSmoke(t *testing.T) {
 				t.Errorf("mode %s K=%d: params hash matches the lossless trajectory", pt.Mode, pt.Workers)
 			}
 		} else if pt.ParamsHash != points[0].ParamsHash {
-			t.Errorf("mode %s K=%d: params hash %x != single-loop %x",
+			t.Errorf("mode %s K=%d: params hash %x != serial %x",
 				pt.Mode, pt.Workers, pt.ParamsHash, points[0].ParamsHash)
 		}
 	}
-	if points[0].Mode != "single-loop" || points[0].Speedup != 1 {
-		t.Errorf("baseline point = %+v, want single-loop with speedup 1", points[0])
+	if points[0].Mode != "serial" || points[0].Speedup != 1 {
+		t.Errorf("baseline point = %+v, want serial with speedup 1", points[0])
 	}
 }
 

@@ -17,26 +17,13 @@ import (
 // split of a scheme into computation, communication, aggregation, and
 // detection, plus the exact serialized message volume.
 type TimingRow struct {
-	Scheme        string
-	Compute       time.Duration
-	Communication time.Duration
-	// Aggregation covers vote + robust aggregation + optimizer step;
-	// Detect is the detection/reputation pass, reported as its own
-	// column (zero when no detector runs) so the Figure-12 phase split
-	// shows what the Byzantine defense itself costs per iteration.
-	Aggregation time.Duration
-	Detect      time.Duration
-	// ReportBytes is the measured worker→PS gradient-report volume as
-	// the uplink codec moved it (delta frames where they paid, raw
-	// otherwise); ReportRawBytes what raw frames would have cost — the
-	// two together give the realized uplink compression ratio.
-	ReportBytes    int64
-	ReportRawBytes int64
-	// BroadcastBytes is the measured PS→worker parameter broadcast
-	// volume (full frames every BroadcastFullEvery rounds, bit-exact
-	// XOR deltas otherwise).
-	BroadcastBytes int64
-	Rounds         int
+	Scheme string
+	// PhaseTimes is the engine's accumulated phase split and measured
+	// wire volume over the run (Aggregation covers vote + robust
+	// aggregation + optimizer step; Detect, zero when no detector runs,
+	// shows what the Byzantine defense itself costs).
+	cluster.PhaseTimes
+	Rounds int
 	// MeanReputation is the fleet's mean reputation after the last
 	// round (1 when detection is off); Blacklisted the final blacklist
 	// size.
@@ -146,16 +133,9 @@ func timeOne(ctx context.Context, name string, spec RunSpec, opts TrainOpts, rou
 		meanRep = stats.MeanReputation
 		blacklisted = stats.Blacklisted
 	}
-	times := eng.Times()
 	return TimingRow{
 		Scheme:         name,
-		Compute:        times.Compute,
-		Communication:  times.Communication,
-		Aggregation:    times.Aggregation,
-		Detect:         times.Detect,
-		ReportBytes:    times.ReportBytes,
-		ReportRawBytes: times.ReportRawBytes,
-		BroadcastBytes: times.BroadcastBytes,
+		PhaseTimes:     eng.Times(),
 		Rounds:         rounds,
 		MeanReputation: meanRep,
 		Blacklisted:    blacklisted,

@@ -1,7 +1,7 @@
 // Loopback wire-path benchmarks: steady-state round latency and wire
-// volume of the pipelined TCP rounds (reader pumps + compressed uplink
-// frames), and a straggler-injected variant showing round latency
-// tracking the collection deadline rather than the slow worker's drain.
+// volume of the pipelined TCP rounds (reader pumps + uplink frames),
+// and a straggler-injected variant showing round latency tracking the
+// collection deadline rather than the slow worker's drain.
 //
 // Run with:
 //
@@ -77,8 +77,8 @@ func benchLoopback(b *testing.B, spec Spec, cfg ServerConfig) {
 }
 
 // BenchmarkLoopbackRound is the steady-state pipelined wire round on
-// the shared test spec: all workers honest, compressed uplink enabled
-// (self-selecting), delta broadcasts at the default cadence.
+// the shared test spec: all workers honest, the default raw uplink,
+// delta broadcasts at the default cadence.
 func BenchmarkLoopbackRound(b *testing.B) {
 	benchLoopback(b, testSpec(1), ServerConfig{})
 }

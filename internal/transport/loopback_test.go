@@ -20,7 +20,7 @@ import (
 // by spec at the given pool width and returns the final parameters.
 func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
 	t.Helper()
-	return engineParamsOf[float64](t, spec, parallelism, 0, wire.TierDelta)
+	return engineParamsOf[float64](t, spec, parallelism, 0, wire.TierRaw)
 }
 
 // engineParamsOf is engineParams at width F, with the engine pinned to
@@ -124,9 +124,9 @@ func TestLoopback32BitIdenticalToEngine32(t *testing.T) { testLoopbackBitIdentic
 // tier's wire path against its in-process quantization.
 func testLoopbackBitIdentical[F linalg.Float](t *testing.T) {
 	spec := testSpec(8)
-	serial := engineParamsOf[F](t, spec, 1, 0, wire.TierDelta)
+	serial := engineParamsOf[F](t, spec, 1, 0, wire.TierRaw)
 	for name, got := range map[string][]F{
-		"pooled+sharded engine":  engineParamsOf[F](t, spec, 4, 3, wire.TierDelta),
+		"pooled+sharded engine":  engineParamsOf[F](t, spec, 4, 3, wire.TierRaw),
 		"wire path":              wireParamsOf[F](t, spec, ServerConfig{}),
 		"sharded+pipelined wire": wireParamsOf[F](t, spec, ServerConfig{Shards: 3, Pipeline: true}),
 	} {
@@ -785,8 +785,8 @@ func TestServer32RejectsF64Worker(t *testing.T) {
 
 // TestWorker32RejoinRenegotiation kills a worker between rounds on an
 // int8-uplink f32 run and restarts it with its session token but a
-// lossless-only tier mask. The server must renegotiate the connection
-// down to the delta tier (never substituting another lossy tier),
+// raw-only tier mask. The server must renegotiate the connection
+// down to the raw tier (never substituting another lossy tier),
 // re-admit the worker at the next round boundary, and finish the run
 // with no missing rounds after the rejoin.
 func TestWorker32RejoinRenegotiation(t *testing.T) {
@@ -813,7 +813,7 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 			}
 			// Between rounds 3 and 4: kill the worker process, then
 			// restart it with the session token but only the lossless
-			// tiers on offer. OnRound blocks the serve loop, so round 4
+			// raw tier on offer. OnRound blocks the serve loop, so round 4
 			// starts only after the rejoin is parked for admission.
 			killWorker()
 			token := workerToken(srv, victim)
@@ -821,7 +821,7 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 				_, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{
 					ID:          victim,
 					ResumeToken: token,
-					Tiers:       wire.TierRaw.Mask() | wire.TierDelta.Mask(),
+					Tiers:       wire.TierRaw.Mask(),
 				})
 				restarted <- err
 			}()
@@ -879,8 +879,8 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 	srv.src.mu.Lock()
 	tier := srv.src.workers[victim].tier
 	srv.src.mu.Unlock()
-	if tier != wire.TierDelta {
-		t.Errorf("rejoined worker renegotiated to tier %s, want %s (best lossless)", tier, wire.TierDelta)
+	if tier != wire.TierRaw {
+		t.Errorf("rejoined worker renegotiated to tier %s, want %s", tier, wire.TierRaw)
 	}
 	if c := srv.Counters(); c.Rejoins < 1 {
 		t.Errorf("counters recorded %d rejoins, want >= 1", c.Rejoins)

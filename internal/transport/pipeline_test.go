@@ -1,15 +1,16 @@
-// Tests for the pipelined wire rounds of protocol v3: per-connection
-// reader pumps, eager stale-frame retirement, compressed uplink
-// gradient frames, lifecycle counters, and deterministic pump teardown.
+// Tests for the pipelined wire rounds: per-connection reader pumps,
+// eager stale-frame retirement (and eviction on a malformed late
+// frame), the default raw uplink under delta parameter broadcasts,
+// lifecycle counters, and deterministic pump teardown.
 package transport
 
 import (
 	"context"
 	"encoding/binary"
 	"io"
-	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -42,10 +43,7 @@ func initManualWorkerShards(st *workerState[float64], w Welcome) {
 	for s := range st.ranges {
 		st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
 	}
-	st.encs = make([]wire.UplinkEncoder, shards)
-	for s := range st.encs {
-		st.encs[s].Tier = w.Uplink
-	}
+	st.enc.Tier = w.Uplink
 	st.frames = make([][]byte, shards)
 	st.reps = make([]GradientReport, shards)
 	st.msgs = make([]Message, shards)
@@ -93,42 +91,32 @@ func runLoopback(t *testing.T, spec Spec, cfg ServerConfig) (*Server, []float64,
 	return srv, srv.Params(), stats
 }
 
-// TestUplinkDeltaTrajectoryIdentity: compressed uplink (the default)
-// must move strictly fewer worker→PS bytes than forced-raw frames on
-// the same spec, never more than the raw equivalent on any round, and
-// produce the bit-identical parameter trajectory — compression is a
-// wire concern, invisible to training.
+// TestUplinkDeltaTrajectoryIdentity: the default uplink is raw — every
+// round moves exactly its raw-equivalent report bytes — and under the
+// default XOR-delta parameter broadcasts the run lands on the bits of
+// full broadcasts every round and of the in-process engine: neither
+// codec is visible to training.
 func TestUplinkDeltaTrajectoryIdentity(t *testing.T) {
 	spec := testSpec(12)
-	sum := func(stats []cluster.RoundStats) (up, raw int64) {
-		for _, rs := range stats {
-			if rs.Times.ReportBytes > rs.Times.ReportRawBytes {
-				t.Errorf("round %d: moved %d bytes, raw equivalent %d — self-selection must never lose",
-					rs.Iteration, rs.Times.ReportBytes, rs.Times.ReportRawBytes)
-			}
-			up += rs.Times.ReportBytes
-			raw += rs.Times.ReportRawBytes
-		}
-		return up, raw
-	}
 	_, deltaParams, deltaStats := runLoopback(t, spec, ServerConfig{})
-	_, rawParams, rawStats := runLoopback(t, spec, ServerConfig{Uplink: wire.TierRaw})
-
-	deltaUp, deltaRaw := sum(deltaStats)
-	rawUp, rawRaw := sum(rawStats)
-	if rawUp != rawRaw {
-		t.Errorf("forced-raw run moved %d bytes but raw equivalent is %d", rawUp, rawRaw)
-	}
-	if deltaUp >= rawUp {
-		t.Errorf("compressed uplink moved %d bytes, raw %d — no saving", deltaUp, rawUp)
-	}
-	if deltaRaw != rawUp {
-		t.Errorf("raw-equivalent accounting diverged: %d vs %d", deltaRaw, rawUp)
-	}
-	for i := range rawParams {
-		if math.Float64bits(deltaParams[i]) != math.Float64bits(rawParams[i]) {
-			t.Fatalf("param %d: uplink compression changed the trajectory", i)
+	_, fullParams, fullStats := runLoopback(t, spec, ServerConfig{FullBroadcastEvery: 1})
+	var deltaBcast, fullBcast int64
+	for i, rs := range deltaStats {
+		if rs.Times.ReportBytes != rs.Times.ReportRawBytes {
+			t.Errorf("round %d: moved %d uplink bytes, raw equivalent %d — the default uplink must be raw",
+				rs.Iteration, rs.Times.ReportBytes, rs.Times.ReportRawBytes)
 		}
+		deltaBcast += rs.Times.BroadcastBytes
+		fullBcast += fullStats[i].Times.BroadcastBytes
+	}
+	if deltaBcast >= fullBcast {
+		t.Errorf("delta broadcasts moved %d bytes, full broadcasts %d — no saving", deltaBcast, fullBcast)
+	}
+	if !sameBits(deltaParams, fullParams) {
+		t.Error("delta parameter broadcasts changed the trajectory")
+	}
+	if !sameBits(deltaParams, engineParams(t, spec, 1)) {
+		t.Error("default wire trajectory diverged from the engine")
 	}
 }
 
@@ -137,8 +125,8 @@ func TestUplinkDeltaTrajectoryIdentity(t *testing.T) {
 // lands — not lazily at the next round's collection. The test parks the
 // serve loop between rounds (OnRound blocks it), releases the late
 // report, and watches the stale counter tick while no collection is
-// running; the late frame must also keep the uplink delta base in
-// lockstep, so the worker's next (delta) report still decodes.
+// running. Retiring it leaves no codec state behind: the worker's next
+// report decodes on its own, with no base.
 func TestStaleReportRetiredEagerly(t *testing.T) {
 	const victim = 3
 	spec := testSpec(3)
@@ -211,8 +199,7 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	// The victim participates manually: it withholds its round-0 report
 	// until the serve loop is parked between rounds, then sends it
 	// (stale), and participates normally afterwards — its round-1
-	// report is an XOR delta against the stale round-0 one, proving the
-	// pump kept the decoder base moving.
+	// report decodes with no base, so it is never missing again.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +290,151 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	c := srv.Counters()
 	if c.Joins != int64(asn.K) || c.Rejoins != 0 || c.Evictions != 0 || c.StaleFrames != 1 {
 		t.Errorf("counters = %+v, want %d joins, 0 rejoins, 0 evictions, 1 stale", c, asn.K)
+	}
+}
+
+// TestMalformedStaleReportEvicts: a report that misses its round is
+// still decoded before it is retired, so a malformed late frame — a
+// mode outside the negotiated tier, or trailing bytes — evicts its
+// sender and is counted, exactly as an on-time one would be.
+func TestMalformedStaleReportEvicts(t *testing.T) {
+	corruptions := map[string]func([]byte) []byte{
+		"mode outside tier": func(f []byte) []byte { f[0] = 2; return f },
+		"trailing bytes":    func(f []byte) []byte { return append(f, 0) },
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) { testMalformedStaleReportEvicts(t, corrupt) })
+	}
+}
+
+func testMalformedStaleReportEvicts(t *testing.T, corrupt func([]byte) []byte) {
+	const victim = 3
+	spec := testSpec(3)
+	sendStale := make(chan struct{})
+	staleSent := make(chan struct{})
+	var mu sync.Mutex
+	var stats []cluster.RoundStats
+	var srv *Server
+	srvCfg := ServerConfig{
+		Spec:         spec,
+		RoundTimeout: 500 * time.Millisecond,
+		OnRound: func(rs cluster.RoundStats) {
+			mu.Lock()
+			stats = append(stats, rs)
+			mu.Unlock()
+			if rs.Iteration != 0 {
+				return
+			}
+			// Parked between rounds 0 and 1: release the victim's
+			// malformed round-0 report and require its eviction before
+			// round 1 starts.
+			close(sendStale)
+			<-staleSent
+			deadline := time.Now().Add(10 * time.Second)
+			for srv.Counters().Evictions == 0 {
+				if time.Now().After(deadline) {
+					t.Error("malformed stale report did not evict its sender")
+					return
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		},
+	}
+	var err error
+	srv, err = NewServer("127.0.0.1:0", srvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	serveDone := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(context.Background())
+		serveDone <- err
+	}()
+
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		if u == victim {
+			continue
+		}
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u}); err != nil {
+				t.Errorf("worker %d: %v", u, err)
+			}
+		}(u)
+	}
+
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(raw)
+	defer conn.Close()
+	if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	welcome, ok := msg.(Welcome)
+	if !ok {
+		t.Fatalf("expected Welcome, got %T", msg)
+	}
+	st, err := manualWorker(victim, welcome.Spec, welcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err = conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, ok := msg.(RoundStart)
+	if !ok || rs.Iteration != 0 {
+		t.Fatalf("expected round 0's RoundStart, got %T %+v", msg, msg)
+	}
+	if err := st.applyParams(&rs); err != nil {
+		t.Fatal(err)
+	}
+	files, samples, err := st.roundWork(&rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := st.computeReport(0, files, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := msgs[0].(GradientReport)
+	rep.Frame = corrupt(slices.Clone(rep.Frame))
+	<-sendStale
+	if _, err := conn.Send(rep); err != nil {
+		t.Fatalf("victim send: %v", err)
+	}
+	close(staleSent)
+
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	wg.Wait()
+	if len(stats) != spec.Rounds {
+		t.Fatalf("recorded %d rounds, want %d", len(stats), spec.Rounds)
+	}
+	for _, rs := range stats {
+		if len(rs.MissingWorkers) != 1 || rs.MissingWorkers[0] != victim {
+			t.Errorf("round %d missing %v, want [%d]", rs.Iteration, rs.MissingWorkers, victim)
+		}
+	}
+	if stats[1].Evictions != 1 || stats[1].StaleFrames != 1 {
+		t.Errorf("round 1 stats: %d evictions, %d stale frames; want 1 and 1", stats[1].Evictions, stats[1].StaleFrames)
+	}
+	if c := srv.Counters(); c.Evictions != 1 || c.StaleFrames != 1 || c.Rejoins != 0 {
+		t.Errorf("counters = %+v, want 1 eviction, 1 stale frame, 0 rejoins", c)
 	}
 }
 
@@ -485,9 +617,9 @@ func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 // TestV2PeerRejected: an old-version peer is refused with a typed
 // Reject{RejectVersion} at both negotiation layers — a Hello declaring
 // an old version inside a valid frame, and any frame whose header is
-// stamped with an old version (how a real v5 peer looks on the wire:
-// its very first frame header fails the version check, before any
-// payload parses).
+// stamped with an old version (how a real v5 or v7 peer looks on the
+// wire: its very first frame header fails the version check, before
+// any payload parses).
 func TestV2PeerRejected(t *testing.T) {
 	spec := testSpec(3)
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
@@ -504,65 +636,70 @@ func TestV2PeerRejected(t *testing.T) {
 	}()
 
 	// A well-framed Hello declaring an old protocol version: the frame
-	// parses, so the refusal arrives as a decodable typed Reject.
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	// parses, so the refusal arrives as a decodable typed Reject. v7 is
+	// the last version before the uplink tier codes were renumbered.
+	for _, v := range []int{2, 7} {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewConn(raw)
+		if _, err := c.Send(Hello{WorkerID: 0, Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := c.Recv()
+		if err != nil {
+			t.Fatalf("v%d: reading the typed reject: %v", v, err)
+		}
+		rej, ok := msg.(Reject)
+		if !ok {
+			t.Fatalf("v%d: expected Reject, got %T", v, msg)
+		}
+		if rej.Code != RejectVersion {
+			t.Errorf("v%d: reject code %d, want RejectVersion (%d)", v, rej.Code, RejectVersion)
+		}
+		c.Close()
 	}
-	c := NewConn(raw)
-	if _, err := c.Send(Hello{WorkerID: 0, Version: 2}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := c.Recv()
-	if err != nil {
-		t.Fatalf("reading the typed reject: %v", err)
-	}
-	rej, ok := msg.(Reject)
-	if !ok {
-		t.Fatalf("expected Reject, got %T", msg)
-	}
-	if rej.Code != RejectVersion {
-		t.Errorf("reject code %d, want RejectVersion (%d)", rej.Code, RejectVersion)
-	}
-	c.Close()
 
 	// A frame stamped with an old version in its header, as a real old
 	// peer would send: rejected before the payload is even interpreted.
-	// The peer cannot parse the v6 Reject frame it gets back, but the
-	// bytes on its socket are deterministic — a framed Reject carrying
-	// RejectVersion, then EOF — so the refusal is diagnosable.
-	raw, err = net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	hdr := make([]byte, wire.FrameHeaderSize)
-	binary.LittleEndian.PutUint16(hdr, wire.FrameMagic)
-	hdr[2] = 5 // protocol v5
-	hdr[3] = 1 // Hello
-	binary.LittleEndian.PutUint32(hdr[4:], 0)
-	if _, err := raw.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
-	buf, err := io.ReadAll(raw)
-	if err != nil {
-		t.Fatalf("reading the reject bytes: %v", err)
-	}
-	if len(buf) < wire.FrameHeaderSize+1 {
-		t.Fatalf("server wrote %d bytes before closing, want a framed Reject", len(buf))
-	}
-	if got := binary.LittleEndian.Uint16(buf); got != wire.FrameMagic {
-		t.Errorf("reject frame magic %#x, want %#x", got, wire.FrameMagic)
-	}
-	if buf[2] != wire.ProtocolVersion {
-		t.Errorf("reject frame stamped version %d, want %d", buf[2], wire.ProtocolVersion)
-	}
-	if buf[3] != msgReject {
-		t.Errorf("reject frame type %d, want %d (Reject)", buf[3], msgReject)
-	}
-	if buf[wire.FrameHeaderSize] != RejectVersion {
-		t.Errorf("reject code %d, want RejectVersion (%d)", buf[wire.FrameHeaderSize], RejectVersion)
+	// The peer cannot parse the current Reject frame it gets back, but
+	// the bytes on its socket are deterministic — a framed Reject
+	// carrying RejectVersion, then EOF — so the refusal is diagnosable.
+	for _, v := range []byte{5, 7} {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := make([]byte, wire.FrameHeaderSize)
+		binary.LittleEndian.PutUint16(hdr, wire.FrameMagic)
+		hdr[2] = v
+		hdr[3] = 1 // Hello
+		binary.LittleEndian.PutUint32(hdr[4:], 0)
+		if _, err := raw.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+		buf, err := io.ReadAll(raw)
+		raw.Close()
+		if err != nil {
+			t.Fatalf("v%d: reading the reject bytes: %v", v, err)
+		}
+		if len(buf) < wire.FrameHeaderSize+1 {
+			t.Fatalf("v%d: server wrote %d bytes before closing, want a framed Reject", v, len(buf))
+		}
+		if got := binary.LittleEndian.Uint16(buf); got != wire.FrameMagic {
+			t.Errorf("v%d: reject frame magic %#x, want %#x", v, got, wire.FrameMagic)
+		}
+		if buf[2] != wire.ProtocolVersion {
+			t.Errorf("v%d: reject frame stamped version %d, want %d", v, buf[2], wire.ProtocolVersion)
+		}
+		if buf[3] != msgReject {
+			t.Errorf("v%d: reject frame type %d, want %d (Reject)", v, buf[3], msgReject)
+		}
+		if buf[wire.FrameHeaderSize] != RejectVersion {
+			t.Errorf("v%d: reject code %d, want RejectVersion (%d)", v, buf[wire.FrameHeaderSize], RejectVersion)
+		}
 	}
 
 	cancel()

@@ -1,6 +1,6 @@
 // Package transport implements a real network transport for the
 // training protocol: a TCP parameter server and worker clients speaking
-// the framed v6 control protocol over net.Conn. This is the repository's
+// the framed v8 control protocol over net.Conn. This is the repository's
 // substitute for the paper's MPICH deployment — cmd/byzps and
 // cmd/byzworker run the same synchronous rounds as the in-process engine
 // across OS processes (or machines). The server executes every round
@@ -9,7 +9,7 @@
 // aggregates, and steps exactly like the in-process engine and
 // reproduces its parameter trajectory bit-for-bit for the same Spec.
 //
-// Wire protocol v6 (every message one self-delimiting frame, see
+// Wire protocol v8 (every message one self-delimiting frame, see
 // internal/wire: magic, version, type, length header + canonical
 // little-endian binary payload):
 //
@@ -21,18 +21,23 @@
 //	worker → PS:  GradientReport{WorkerID, Iteration, Shard, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
 //
-// v6 makes the uplink codec a negotiated per-connection tier: the
+// v8 deleted the XOR-delta uplink tier and renumbered the uplink tiers
+// (raw 0, sign 1, int8 2), so Hello.Tiers and Welcome.Uplink changed
+// meaning; every uplink codec is now stateless. v7 added the
+// negotiated precision tier (Hello.Precisions, Welcome.Precision).
+//
+// v6 made the uplink codec a negotiated per-connection tier: the
 // Hello advertises the tiers the worker implements as a bitmask
 // (wire.UplinkTier.Mask), the Welcome's uplink flag byte became the
 // negotiated wire.UplinkTier, and two lossy quantized frame modes —
 // sign (1 bit + per-row scale) and int8 (byte + per-row min/scale) —
-// joined raw and XOR-delta. Negotiation picks the server's configured
-// tier when the worker supports it and degrades lossless otherwise
-// (delta, then raw); it never substitutes one lossy tier for another,
-// because the two quantizations dequantize differently and the vote
-// needs every replica bit-identical. A v5 peer fails the frame-header
-// version check on its Hello and is refused with a typed
-// Reject{RejectVersion} naming both versions.
+// joined the lossless ones. Negotiation picks the server's configured
+// tier when the worker supports it and degrades to raw otherwise; it
+// never substitutes one lossy tier for another, because the two
+// quantizations dequantize differently and the vote needs every
+// replica bit-identical. An older peer fails the frame-header version
+// check on its Hello and is refused with a typed Reject{RejectVersion}
+// naming both versions.
 //
 // v5 added the sharded, pipelined aggregation plane: GradientReport
 // carries a shard index so a worker's report travels as one frame per
@@ -61,13 +66,10 @@
 // full parameter vector only on join/rejoin and every FullEvery-th
 // round, and a bit-exact XOR delta against the previous round's
 // acknowledged vector otherwise (wire.AppendParamsDelta).
-// GradientReport.Frame is an uplink frame (wire.UplinkEncoder) in the
-// connection's negotiated tier: on the default lossless tier each
-// worker XORs its report against its own previous one and ships the
-// delta when it is smaller, falling back to a raw frame when gradients
-// decorrelated too much to pay — self-selected per frame, bit-exact
-// either way; the lossy tiers ship stateless quantized frames (sign,
-// int8) that dequantize deterministically on both sides.
+// GradientReport.Frame is a stateless uplink frame (wire.UplinkEncoder)
+// in the connection's negotiated tier: a bit-exact raw gradient frame
+// on the default tier, or a quantized frame (sign, int8) that
+// dequantizes deterministically on both sides.
 //
 // Workers reconstruct the dataset and model deterministically from the
 // Spec (seeded synthetic data stands in for the shared dataset storage
@@ -487,9 +489,9 @@ type Welcome struct {
 	FullEvery int
 	// Uplink is the connection's negotiated uplink codec tier: the
 	// worker must encode every gradient report with it and the PS's
-	// pump decoders accept no other modes. The lossless tiers (raw,
-	// delta) are bit-identical to each other; the lossy tiers quantize
-	// deterministically, so every honest replica still votes equal.
+	// pump decoders accept no other modes. The raw tier is bit-exact;
+	// the lossy tiers quantize deterministically, so every honest
+	// replica still votes equal.
 	Uplink wire.UplinkTier
 	Spec   Spec
 	// Shards is the server's aggregation-shard count: with Shards > 1
@@ -618,10 +620,9 @@ func (m *RoundStart) decodePayload(src []byte) error {
 }
 
 // GradientReport returns the worker's per-file gradient sums. The
-// gradients travel as one compact binary uplink frame (see
-// internal/wire): a raw gradient frame, or a bit-exact XOR delta
-// against the worker's previous report when that is smaller — the
-// worker's encoder self-selects per frame.
+// gradients travel as one compact binary uplink frame in the
+// connection's negotiated tier (see internal/wire): a raw gradient
+// frame, or a quantized one on a lossy tier.
 type GradientReport struct {
 	WorkerID  int
 	Iteration int
@@ -632,15 +633,14 @@ type GradientReport struct {
 	// and the PS counts a worker delivered once all of them landed.
 	Shard int
 	// Frame is the wire-encoded uplink frame (worker, files,
-	// gradients); decode with the connection's per-shard
-	// wire.UplinkDecoder. Its embedded worker id must match WorkerID.
+	// gradients); decode with the connection's wire.UplinkDecoder. Its embedded worker id must match WorkerID.
 	// A decoded Frame aliases the connection's receive buffer and is
 	// valid only until the next Recv on that Conn — the PS pump runs it
 	// through the uplink decoder before reading again.
 	// An empty Frame (sent with Shard 0 only) is an explicit skip: the
 	// worker is alive but reports no gradients this round (flaky-fault
 	// injection), so the PS counts it missing for the round without
-	// evicting it — and neither side's delta bases move.
+	// evicting it.
 	Frame []byte
 }
 

@@ -76,15 +76,13 @@ type ServerConfig struct {
 	// DefaultFullBroadcastEvery.
 	FullBroadcastEvery int
 	// Uplink selects the worker→PS gradient codec tier the server asks
-	// its workers to use: TierDelta (the zero value) lets each worker's
-	// encoder self-select raw or XOR-delta per frame, TierRaw forces
-	// self-contained raw frames — both lossless and bit-identical to the
-	// in-process engine — and the lossy TierSign / TierInt8 ship 1-bit /
-	// 8-bit linear-quantized gradients (see internal/wire). The tier is
+	// its workers to use: TierRaw (the zero value) ships self-contained
+	// raw frames, lossless and bit-identical to the in-process engine,
+	// and the lossy TierSign / TierInt8 ship 1-bit / 8-bit
+	// linear-quantized gradients (see internal/wire). The tier is
 	// negotiated per connection: a worker whose Hello does not offer the
-	// configured tier is downgraded to the best lossless tier it speaks
-	// (delta, then raw) — one lossy tier is never substituted for
-	// another.
+	// configured tier is downgraded to raw — one lossy tier is never
+	// substituted for another.
 	Uplink wire.UplinkTier
 	// Quorum is the minimum surviving replicas a file needs to be voted
 	// (0 → majority of the nominal replication, R/2+1); see
@@ -575,23 +573,15 @@ func (s *ServerOf[F]) handshake(ctx context.Context, conn *Conn) {
 }
 
 // negotiateTier picks a connection's uplink codec tier: the server's
-// configured tier when the worker's Hello offers it, otherwise the best
-// lossless tier the worker speaks — delta, then raw. One lossy tier is
-// never substituted for another (a worker built for int8 frames must
-// not silently receive sign frames, whose loss profile it was not
-// validated against). An empty mask is read as the lossless pair: any
-// peer that reached negotiation speaks raw and delta — those predate
-// the tier handshake — while a lossy tier requires an explicit opt-in
-// bit.
+// configured tier when the worker's Hello offers it, otherwise raw.
+// One lossy tier is never substituted for another (a worker built for
+// int8 frames must not silently receive sign frames, whose loss profile
+// it was not validated against). Every peer that reached negotiation
+// speaks raw, so an empty mask means raw, and a lossy tier requires an
+// explicit opt-in bit.
 func negotiateTier(want wire.UplinkTier, mask uint8) wire.UplinkTier {
-	if mask == 0 {
-		mask = wire.TierRaw.Mask() | wire.TierDelta.Mask()
-	}
 	if mask&want.Mask() != 0 {
 		return want
-	}
-	if mask&wire.TierDelta.Mask() != 0 {
-		return wire.TierDelta
 	}
 	return wire.TierRaw
 }
@@ -857,19 +847,18 @@ type pumpItem struct {
 // decodes every frame the moment it arrives, and forwards validated
 // current-round reports to the collection inbox. Stale reports —
 // duplicates, or reports that missed their round's deadline — are
-// retired here, eagerly, after being run through the uplink decoder so
-// the delta base stays in lockstep with the worker's encoder. The pump
-// is the only reader of its connection, so it owns the per-connection
-// uplink decoder state, and it never sets read deadlines: the round
-// loop's single collection timer is the only clock on the hot path.
+// retired here, eagerly, after being decoded into private scratch, so
+// a malformed late frame still evicts its sender. The pump is the only
+// reader of its connection, so it owns the connection's uplink
+// decoder, and it never sets read deadlines: the round loop's single
+// collection timer is the only clock on the hot path.
 type pump[F linalg.Float] struct {
 	ws   *wireSource[F]
 	u    int
 	conn *Conn
-	// decs holds one uplink decoder per aggregation shard: a sharded
-	// worker runs one independent delta stream per shard (each with its
-	// own base), mirroring the per-shard encoders on the worker side.
-	decs []wire.UplinkDecoderOf[F]
+	// dec is the connection's uplink decoder (the codec is stateless,
+	// so one serves every shard).
+	dec wire.UplinkDecoderOf[F]
 	// frame is the decode target; its Grads are pointed at the engine's
 	// arena buffers for deliverable reports and at private scratch for
 	// stale ones (the arena slot may be under read by a vote).
@@ -934,9 +923,8 @@ func (p *pump[F]) handle(rep GradientReport) error {
 	retire := int(ws.retireBelow.Load())
 	if it < retire || it < p.deliveredIter || p.deliveredMask&(1<<rep.Shard) != 0 {
 		// Too late for its round (or a duplicate shard frame): retire
-		// it now — but still run it through the decoder into private
-		// scratch, so the uplink delta base advances exactly as the
-		// worker's encoder did when it sent the frame.
+		// it now — but still decode it into private scratch, so a
+		// malformed frame evicts its sender however late it arrives.
 		ws.staleFrames.Add(1)
 		if len(rep.Frame) == 0 {
 			return nil
@@ -955,8 +943,8 @@ func (p *pump[F]) handle(rep GradientReport) error {
 	// re-checked under that lock: after a rejoin displaces this
 	// connection, the new pump owns the worker's arena slots, and a
 	// superseded pump that already passed the round checks must not
-	// race it — its report decodes into scratch (keeping its decoder
-	// consistent until the conn's teardown kills it) and is retired.
+	// race it — its report decodes into scratch (still validated until
+	// the conn's teardown kills it) and is retired.
 	wf := ws.files[p.u]
 	ws.arenaMu[p.u].Lock()
 	live := ws.liveConn(p.u) == p.conn
@@ -982,8 +970,8 @@ func (p *pump[F]) handle(rep GradientReport) error {
 	return nil
 }
 
-// decode runs one report frame through the connection's per-shard
-// uplink decoder into the given target buffers and validates its
+// decode runs one report frame through the connection's uplink
+// decoder into the given target buffers and validates its
 // structure against the worker's static file assignment and the
 // shard's coordinate width.
 func (p *pump[F]) decode(frameBytes []byte, bufs [][]F, shard int) error {
@@ -991,7 +979,7 @@ func (p *pump[F]) decode(frameBytes []byte, bufs [][]F, shard int) error {
 	wf := ws.files[p.u]
 	want := ws.shardRanges[shard][1] - ws.shardRanges[shard][0]
 	p.frame.Grads = bufs
-	_, consumed, err := p.decs[shard].Decode(frameBytes, &p.frame)
+	_, consumed, err := p.dec.Decode(frameBytes, &p.frame)
 	switch {
 	case err != nil:
 		return err
@@ -1284,10 +1272,8 @@ func (ws *wireSource[F]) startPump(u int, conn *Conn) {
 		return
 	}
 	ws.pumps.Add(1)
-	p := &pump[F]{ws: ws, u: u, conn: conn, deliveredIter: -1, decs: make([]wire.UplinkDecoderOf[F], ws.shards)}
-	for s := range p.decs {
-		p.decs[s].Tier = ws.workers[u].tier
-	}
+	p := &pump[F]{ws: ws, u: u, conn: conn, deliveredIter: -1}
+	p.dec.Tier = ws.workers[u].tier
 	go p.run()
 }
 

@@ -226,9 +226,6 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 					st.token = welcome.Token
 					st.lastApplied = -1
 					st.prepIter = -1
-					for s := range st.encs {
-						st.encs[s].Reset()
-					}
 					close(rejoined)
 				}
 			case Shutdown:

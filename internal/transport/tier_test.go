@@ -72,17 +72,17 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestUplinkTierLoopbackMatchesEngine pins every tier's wire trajectory
-// to the in-process engine, unsharded and sharded: the lossless tiers
-// against the plain engine (codec choice cannot move a bit), the lossy
+// to the in-process engine, unsharded and sharded: the raw tier
+// against the plain engine (framing cannot move a bit), the lossy
 // tiers against an engine running the same tier and shard count (the
 // engine applies the codec's exact quantize→dequantize operations per
 // shard range). The lossy runs must also move fewer uplink bytes than
 // their raw equivalent and land off the lossless bits.
 func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
 	spec := testSpec(6)
-	lossless := engineParamsTier(t, spec, 0, wire.TierDelta)
+	lossless := engineParamsTier(t, spec, 0, wire.TierRaw)
 	for _, shards := range []int{0, 2} {
-		for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierDelta, wire.TierSign, wire.TierInt8} {
+		for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8} {
 			_, params, stats := runLoopback(t, spec, ServerConfig{Uplink: tier, Shards: shards})
 			ref := lossless
 			if tier.Lossy() {
@@ -114,9 +114,8 @@ func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
 }
 
 // TestUplinkTierNegotiation drives the Hello/Welcome negotiation
-// directly: the server's configured tier when offered, the best
-// lossless tier the peer speaks otherwise (never a substitute lossy
-// tier), and the legacy lossless pair for an empty mask.
+// directly: the server's configured tier when offered, raw otherwise
+// (never a substitute lossy tier), and raw for an empty mask.
 func TestUplinkTierNegotiation(t *testing.T) {
 	spec := testSpec(1)
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Uplink: wire.TierInt8})
@@ -138,10 +137,10 @@ func TestUplinkTierNegotiation(t *testing.T) {
 		want  wire.UplinkTier
 	}{
 		{"configured tier offered", wire.AllTiersMask, wire.TierInt8},
-		{"lossless downgrade to delta", wire.TierRaw.Mask() | wire.TierDelta.Mask(), wire.TierDelta},
 		{"lossless downgrade to raw", wire.TierRaw.Mask(), wire.TierRaw},
-		{"lossy never substituted", wire.TierSign.Mask() | wire.TierDelta.Mask(), wire.TierDelta},
-		{"empty mask is the legacy lossless pair", 0, wire.TierDelta},
+		{"lossy never substituted", wire.TierSign.Mask() | wire.TierRaw.Mask(), wire.TierRaw},
+		{"lossy never substituted without raw", wire.TierSign.Mask(), wire.TierRaw},
+		{"empty mask is raw", 0, wire.TierRaw},
 	}
 	for id, tc := range cases {
 		raw, err := net.Dial("tcp", srv.Addr())
@@ -171,7 +170,7 @@ func TestUplinkTierNegotiation(t *testing.T) {
 
 // TestUplinkTierDowngradedFleet runs a full training fleet whose
 // workers refuse the lossy tiers against a server configured for int8:
-// every connection is downgraded to delta, the run completes, and the
+// every connection is downgraded to raw, the run completes, and the
 // trajectory lands on the lossless engine's bits — a forced downgrade
 // is a codec change, not a semantic one.
 func TestUplinkTierDowngradedFleet(t *testing.T) {
@@ -190,7 +189,7 @@ func TestUplinkTierDowngradedFleet(t *testing.T) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			cfg := WorkerConfig{ID: u, Tiers: wire.TierRaw.Mask() | wire.TierDelta.Mask()}
+			cfg := WorkerConfig{ID: u, Tiers: wire.TierRaw.Mask()}
 			if _, err := RunWorker(context.Background(), srv.Addr(), cfg); err != nil {
 				t.Errorf("worker %d: %v", u, err)
 			}
@@ -200,7 +199,7 @@ func TestUplinkTierDowngradedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if !sameBits(srv.Params(), engineParamsTier(t, spec, 0, wire.TierDelta)) {
+	if !sameBits(srv.Params(), engineParamsTier(t, spec, 0, wire.TierRaw)) {
 		t.Error("downgraded fleet diverged from the lossless engine")
 	}
 }

@@ -79,9 +79,9 @@ type WorkerConfig struct {
 	// Tiers is the bitmask of uplink codec tiers this worker offers in
 	// its Hello (OR of wire.UplinkTier.Mask values); 0 offers every tier
 	// (wire.AllTiersMask). Restricting the mask makes the server
-	// downgrade this connection to the best lossless tier it offers —
-	// how a fleet keeps a lossy run interoperable with workers that
-	// cannot (or should not) quantize.
+	// downgrade this connection to the raw tier — how a fleet keeps a
+	// lossy run interoperable with workers that cannot (or should not)
+	// quantize.
 	Tiers uint8
 	// AdvAddr is the adversary sidecar hub (cmd/byzadv) this Byzantine
 	// worker coordinates through; required for BehaviorALIE. The worker
@@ -199,15 +199,12 @@ type workerState[F linalg.Float] struct {
 	lastApplied int
 	// shards/ranges mirror the Welcome's shard plane: the worker ships
 	// one report frame per shard, each covering its contiguous
-	// coordinate range of every assigned file's gradient. encs holds one
-	// uplink encoder per shard — each shard is its own delta stream —
-	// and frames/reps/msgs are the per-shard send scratch. Every
-	// (re)connect Resets the encoders: the PS's decoders for a fresh
-	// connection hold no delta base, so the first report of a connection
-	// ships raw.
+	// coordinate range of every assigned file's gradient. enc is the
+	// uplink encoder (stateless, so one serves every shard), and
+	// frames/reps/msgs are the per-shard send scratch.
 	shards int
 	ranges [][2]int
-	encs   []wire.UplinkEncoderOf[F]
+	enc    wire.UplinkEncoderOf[F]
 	frames [][]byte
 	reps   []GradientReport
 	msgs   []Message
@@ -482,20 +479,14 @@ func (st *workerState[F]) serve(ctx context.Context, conn *Conn, welcome *Welcom
 		for s := range st.ranges {
 			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
 		}
-		st.encs = make([]wire.UplinkEncoderOf[F], shards)
 		st.frames = make([][]byte, shards)
 		st.reps = make([]GradientReport, shards)
 		st.msgs = make([]Message, shards)
 	}
-	// A fresh connection means fresh uplink streams: the server's
-	// decoders hold no codec state, so the encoders must not either. The
-	// tier is per connection — a rejoin may renegotiate (the lossy tiers
-	// are stateless, and the delta tier's first frame after a reset
-	// ships raw), so adopting the new Welcome's tier is always safe.
-	for s := range st.encs {
-		st.encs[s].Reset()
-		st.encs[s].Tier = welcome.Uplink
-	}
+	// The tier is per connection — a rejoin may renegotiate — and every
+	// tier is stateless, so adopting the new Welcome's tier is always
+	// safe.
+	st.enc.Tier = welcome.Uplink
 	st.pipeline = welcome.Pipeline
 	// Any prep received on a previous connection died with it: the
 	// server forgets prep state on eviction and serves this connection
@@ -577,7 +568,7 @@ func (st *workerState[F]) serve(ctx context.Context, conn *Conn, welcome *Welcom
 			if d.Skip {
 				cfg.Logf("worker %d: injected skip at round %d", cfg.ID, m.Iteration)
 				// A single empty frame stands for every shard of the
-				// round; no encoder rolls its delta base, on either side.
+				// round.
 				if _, err := conn.Send(GradientReport{WorkerID: cfg.ID, Iteration: m.Iteration}); err != nil {
 					return 0, retryable(ctxErr(ctx, err))
 				}
@@ -742,7 +733,7 @@ func (st *workerState[F]) computeReport(iter int, files []int, samples [][]int) 
 		for i := range grads {
 			sg[i] = grads[i][lo:hi]
 		}
-		frame, _, _, err := st.encs[s].Encode(st.frames[s][:0], cfg.ID, files, sg)
+		frame, _, _, err := st.enc.Encode(st.frames[s][:0], cfg.ID, files, sg)
 		if err != nil {
 			return nil, err
 		}

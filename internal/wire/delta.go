@@ -88,14 +88,11 @@ func AppendParamsDelta[F linalg.Float](dst []byte, base, cur []F) ([]byte, error
 	return dst, nil
 }
 
-// --- Shared nibble-packed XOR primitives ----------------------------
+// --- Nibble-packed XOR primitives -----------------------------------
 //
-// The params-broadcast codec (this file) and the uplink gradient codec
-// (uplink.go) use the identical value encoding: per value, the XOR of
-// new and base bit patterns with high-order zero bytes stripped, byte
-// lengths nibble-packed two-per-byte ahead of the payload. These
-// helpers are the single implementation of that bit layout — a
-// canonicality or bounds fix lands in both codecs at once.
+// The params-delta value encoding: per value, the XOR of new and base
+// bit patterns with high-order zero bytes stripped, byte lengths
+// nibble-packed two-per-byte ahead of the payload.
 
 // xorLen returns the minimal number of low-order bytes needed to
 // represent x (0 for x == 0).

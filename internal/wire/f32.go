@@ -2,7 +2,7 @@
 // reports and parameter broadcasts as float32 bit patterns — half the
 // bytes and half the kernel bandwidth of float64 — with every invariant
 // of the codecs intact: canonical encodings, bit-exact round trips, and
-// streaming delta bases in lockstep across a connection.
+// the parameter broadcast's delta base in lockstep across a connection.
 //
 // Precision is connection state, not frame state: the Hello advertises
 // a supported-precisions bitmask, the Welcome pins one Precision for

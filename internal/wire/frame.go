@@ -44,11 +44,15 @@ const (
 	// ProtocolVersion is the current control-plane protocol version.
 	// Hello/Welcome carry it explicitly for negotiation; every frame
 	// header repeats it so a version skew fails fast on any message.
+	// v8 deleted the XOR-delta uplink tier and renumbered the rest
+	// (raw 0, sign 1, int8 2), so the Hello's supported-tiers bitmask
+	// and the Welcome's UplinkTier changed meaning; every uplink codec
+	// is now stateless, and frame mode 2 is rejected.
 	// v7 added the negotiated precision tier: the Hello advertises a
 	// supported-precisions bitmask, the Welcome pins the connection's
 	// Precision (f64 stays the default), and a full float32 codec set
-	// (f32.go: gradient frames, params full/delta, all four uplink
-	// tiers) carries the reduced-precision connections. Pre-v7 peers
+	// (f32.go: gradient frames, params full/delta, every uplink
+	// tier) carries the reduced-precision connections. Pre-v7 peers
 	// are rejected at the first frame with the typed version Reject.
 	// v6 made the uplink codec a negotiated tier: the Hello advertises
 	// a supported-tiers bitmask, the Welcome's uplink-delta flag byte
@@ -65,7 +69,7 @@ const (
 	// compressed uplink gradient codec (uplink.go) and the Welcome's
 	// uplink-delta flag. Older peers are rejected at the first frame
 	// (and at Hello/Welcome negotiation) with a typed version Reject.
-	ProtocolVersion = 7
+	ProtocolVersion = 8
 	// FrameHeaderSize is the fixed byte size of the frame header.
 	FrameHeaderSize = 8
 	// MaxFramePayload bounds the declared payload length a receiver will

@@ -1,7 +1,8 @@
-// Quantized uplink gradient frames (protocol v6). The lossless XOR
-// uplink (uplink.go) realizes only ≈2% on real training rounds because
-// consecutive gradient reports decorrelate; the two lossy tiers in this
-// file cut the dominant worker→PS direction by construction instead:
+// Quantized uplink gradient frames (protocol v6). Consecutive gradient
+// reports decorrelate — each round draws a fresh mini-batch — so a
+// lossless uplink codec buys almost nothing (an XOR delta against the
+// previous report measured ≈2%); the two lossy tiers in this file cut
+// the dominant worker→PS direction by construction instead:
 //
 //   - sign: one bit per coordinate plus one scale per row — the
 //     1-bit SGD shape. The scale is the row's mean absolute value, so
@@ -10,8 +11,8 @@
 //     quantization onto the 256-point grid [min, min+255·scale] with
 //     scale = (max−min)/255.
 //
-// Both tiers are stateless: a frame is self-contained, no delta base is
-// held on either side, so a reconnect resumes mid-stream with no
+// Both tiers are stateless, like the raw tier: a frame is
+// self-contained, so a reconnect resumes mid-stream with no
 // resynchronization (and a kill+rejoin under a lossy tier is
 // bit-identical to an uninterrupted run).
 //
@@ -26,7 +27,7 @@
 // file's shard coordinate range independently, and the engine mirrors
 // that by quantizing per (file, shard range).
 //
-// Frame layouts, little-endian (header fields as the delta frame's):
+// Frame layouts, little-endian:
 //
 //	u8  mode (3 = sign, 4 = int8)
 //	u32 worker, u32 n, u32 d, n × u32 file id
@@ -60,23 +61,18 @@ import (
 
 // UplinkTier selects the uplink gradient codec a connection (or the
 // in-process engine's measured-communication mode) runs. The zero
-// value is the lossless self-selecting raw/XOR-delta codec that
-// protocol v3–v5 always used, so zero-valued configs keep their
-// pre-v6 behavior.
+// value is the lossless raw tier.
 type UplinkTier uint8
 
 const (
-	// TierDelta is the lossless tier: the encoder self-selects per
-	// frame between a raw gradient frame and an XOR patch against the
-	// sender's previous report (uplink.go). The default.
-	TierDelta UplinkTier = 0
-	// TierRaw forces self-contained raw frames and keeps no base.
-	TierRaw UplinkTier = 1
+	// TierRaw ships self-contained raw gradient frames (uplink.go).
+	// The default.
+	TierRaw UplinkTier = 0
 	// TierSign is the 1-bit tier: sign bits plus a per-row scale.
-	TierSign UplinkTier = 2
+	TierSign UplinkTier = 1
 	// TierInt8 is the linear-quantized tier: one byte per coordinate
 	// plus per-row (min, scale).
-	TierInt8 UplinkTier = 3
+	TierInt8 UplinkTier = 2
 )
 
 // Lossy reports whether the tier discards information (sign or int8).
@@ -88,13 +84,26 @@ func (t UplinkTier) Valid() bool { return t <= TierInt8 }
 // Mask returns the tier's bit in the Hello supported-tiers bitmask.
 func (t UplinkTier) Mask() uint8 { return 1 << t }
 
+// frameMode returns the uplink frame mode byte the tier emits, or -1
+// for an undefined tier (a value no mode byte carries).
+func (t UplinkTier) frameMode() int {
+	switch t {
+	case TierRaw:
+		return UplinkRaw
+	case TierSign:
+		return UplinkSign
+	case TierInt8:
+		return UplinkInt8
+	default:
+		return -1
+	}
+}
+
 // String returns the flag spelling of the tier.
 func (t UplinkTier) String() string {
 	switch t {
 	case TierRaw:
 		return "raw"
-	case TierDelta:
-		return "delta"
 	case TierSign:
 		return "sign"
 	case TierInt8:
@@ -109,20 +118,22 @@ func ParseUplinkTier(s string) (UplinkTier, error) {
 	switch s {
 	case "raw":
 		return TierRaw, nil
-	case "delta":
-		return TierDelta, nil
 	case "sign":
 		return TierSign, nil
 	case "int8":
 		return TierInt8, nil
 	default:
-		return 0, fmt.Errorf("wire: unknown uplink tier %q (want raw, delta, sign, or int8)", s)
+		return 0, fmt.Errorf("wire: unknown uplink tier %q (want raw, sign, or int8)", s)
 	}
 }
 
 // AllTiersMask is the supported-tiers bitmask of a peer implementing
-// every tier (what the v6 worker advertises in its Hello).
-const AllTiersMask = uint8(1<<TierDelta | 1<<TierRaw | 1<<TierSign | 1<<TierInt8)
+// every tier (what the worker advertises in its Hello by default).
+const AllTiersMask = uint8(1<<TierRaw | 1<<TierSign | 1<<TierInt8)
+
+// uplinkQuantHeader is a quantized frame's mode byte plus worker, n,
+// and d.
+const uplinkQuantHeader = 13
 
 // signBytesPerRow returns the packed sign-bit bytes of one d-wide row.
 func signBytesPerRow(d int) int { return (d + 7) / 8 }
@@ -130,13 +141,13 @@ func signBytesPerRow(d int) int { return (d + 7) / 8 }
 // UplinkSignSize returns the encoded size of a width-F sign uplink
 // frame with n files of dimension d.
 func UplinkSignSize[F linalg.Float](n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*linalg.Width[F]() + n*signBytesPerRow(d)
+	return uplinkQuantHeader + n*4 + n*linalg.Width[F]() + n*signBytesPerRow(d)
 }
 
 // UplinkInt8Size returns the encoded size of a width-F int8 uplink
 // frame with n files of dimension d.
 func UplinkInt8Size[F linalg.Float](n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*2*linalg.Width[F]() + n*d
+	return uplinkQuantHeader + n*4 + n*2*linalg.Width[F]() + n*d
 }
 
 // absBits clears the sign bit — exact for every value including −0 and
@@ -310,13 +321,13 @@ func appendUplinkInt8[F linalg.Float](dst []byte, worker int, files []int, grads
 // overflow or trigger oversized allocations — everything is bounded by
 // len(src) before n and d are trusted.
 func decodeQuantHeader[F linalg.Float](src []byte, f *GradFrameOf[F], scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
-	if len(src) < uplinkDeltaHeader {
+	if len(src) < uplinkQuantHeader {
 		return 0, 0, nil, fmt.Errorf("wire: quantized uplink frame truncated at %d bytes", len(src))
 	}
 	worker := int(binary.LittleEndian.Uint32(src[1:]))
 	n64 := uint64(binary.LittleEndian.Uint32(src[5:]))
 	d64 := uint64(binary.LittleEndian.Uint32(src[9:]))
-	rem := uint64(len(src) - uplinkDeltaHeader)
+	rem := uint64(len(src) - uplinkQuantHeader)
 	if n64 > 0 && n64 > rem/4 {
 		return 0, 0, nil, fmt.Errorf("wire: quantized frame declares %d files for %d bytes", n64, rem)
 	}
@@ -334,9 +345,9 @@ func decodeQuantHeader[F linalg.Float](src []byte, f *GradFrameOf[F], scaleBytes
 	}
 	f.Files = f.Files[:n]
 	for i := range f.Files {
-		f.Files[i] = int(binary.LittleEndian.Uint32(src[uplinkDeltaHeader+i*4:]))
+		f.Files[i] = int(binary.LittleEndian.Uint32(src[uplinkQuantHeader+i*4:]))
 	}
-	return n, d, src[uplinkDeltaHeader+n*4:], nil
+	return n, d, src[uplinkQuantHeader+n*4:], nil
 }
 
 // growGrads sizes f.Grads to n rows of d values under the
@@ -396,7 +407,7 @@ func decodeUplinkSign[F linalg.Float](src []byte, f *GradFrameOf[F]) (int, error
 			return 0, fmt.Errorf("wire: sign frame row %d has set padding bits", i)
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*w + n*int(bpr), nil
+	return uplinkQuantHeader + n*4 + n*w + n*int(bpr), nil
 }
 
 // decodeUplinkInt8 parses one int8 frame into f, returning the bytes
@@ -423,5 +434,5 @@ func decodeUplinkInt8[F linalg.Float](src []byte, f *GradFrameOf[F]) (int, error
 			g[j] = min + scale*F(q[j])
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*2*w + n*d, nil
+	return uplinkQuantHeader + n*4 + n*2*w + n*d, nil
 }

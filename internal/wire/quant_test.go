@@ -29,7 +29,7 @@ func quantizeReport[F linalg.Float](tier UplinkTier, grads [][]F) [][]F {
 // TestUplinkTierSpellings pins the flag spellings, the parse round
 // trip, and the negotiation bitmask bits.
 func TestUplinkTierSpellings(t *testing.T) {
-	for _, tier := range []UplinkTier{TierRaw, TierDelta, TierSign, TierInt8} {
+	for _, tier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
 		got, err := ParseUplinkTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseUplinkTier(%q) = %v, %v", tier.String(), got, err)
@@ -38,11 +38,15 @@ func TestUplinkTierSpellings(t *testing.T) {
 			t.Errorf("tier %s missing from AllTiersMask", tier)
 		}
 	}
-	if _, err := ParseUplinkTier("gzip"); err == nil {
-		t.Error("ParseUplinkTier accepted an unknown tier")
+	if AllTiersMask != TierRaw.Mask()|TierSign.Mask()|TierInt8.Mask() {
+		t.Errorf("AllTiersMask = %#b, want exactly raw|sign|int8", AllTiersMask)
 	}
-	if TierSign.Lossy() != true || TierInt8.Lossy() != true ||
-		TierRaw.Lossy() || TierDelta.Lossy() {
+	for _, name := range []string{"gzip", "delta"} {
+		if _, err := ParseUplinkTier(name); err == nil {
+			t.Errorf("ParseUplinkTier accepted %q", name)
+		}
+	}
+	if TierSign.Lossy() != true || TierInt8.Lossy() != true || TierRaw.Lossy() {
 		t.Error("Lossy() wrong for some tier")
 	}
 }
@@ -152,10 +156,10 @@ func testUplinkQuantTierStrict[F linalg.Float](t *testing.T) {
 		frames[tier] = frame
 	}
 	accepts := map[UplinkTier][]UplinkTier{
-		TierRaw:   {TierRaw},
-		TierDelta: {TierRaw},
-		TierSign:  {TierSign},
-		TierInt8:  {TierInt8},
+		TierRaw:       {TierRaw},
+		TierSign:      {TierSign},
+		TierInt8:      {TierInt8},
+		UplinkTier(3): nil,
 	}
 	for decTier, ok := range accepts {
 		for _, encTier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
@@ -167,6 +171,17 @@ func testUplinkQuantTierStrict[F linalg.Float](t *testing.T) {
 			}
 		}
 	}
+	// An undefined tier has no frame mode — not even 0 — and no encoder.
+	undefined := UplinkTier(3)
+	zeroMode := slices.Clone(frames[TierInt8])
+	zeroMode[0] = 0
+	var f GradFrameOf[F]
+	if _, _, err := (&UplinkDecoderOf[F]{Tier: undefined}).Decode(zeroMode, &f); err == nil {
+		t.Error("undefined-tier decoder accepted a mode-0 frame")
+	}
+	if _, _, _, err := (&UplinkEncoderOf[F]{Tier: undefined}).Encode(nil, 0, files, grads); err == nil {
+		t.Error("undefined-tier encoder emitted a frame")
+	}
 }
 
 // TestUplinkSignRejects: non-canonical sign frames — negative or NaN
@@ -177,7 +192,7 @@ func TestUplinkSignRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaleAt := uplinkDeltaHeader + 4 // one file id, then the row scale
+	scaleAt := uplinkQuantHeader + 4 // one file id, then the row scale
 	cases := map[string][]byte{
 		"truncated": frame[:len(frame)-1],
 		"neg scale": func() []byte {

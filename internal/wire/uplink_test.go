@@ -65,53 +65,55 @@ func checkReport[F linalg.Float](t *testing.T, f *GradFrameOf[F], worker int, fi
 	}
 }
 
-// TestUplinkStreamRoundTrip drives several rounds of correlated
-// reports through an encoder/decoder pair: the first frame must be raw
-// (no base), later frames must pick delta in this regime and save
-// bytes, and every decode must be bit-exact.
+// TestUplinkStreamRoundTrip drives several rounds of reports through
+// one raw encoder, then decodes the frames through one decoder in
+// reverse order: the codec holds no stream state, so every frame must
+// decode bit-exact in any order, at exactly the raw size.
 func TestUplinkStreamRoundTrip(t *testing.T) { testUplinkStreamRoundTrip[float64](t) }
 
-// TestUplink32DeltaStream runs the streaming round trip at float32.
+// TestUplink32DeltaStream runs the any-order stream round trip at
+// float32.
 func TestUplink32DeltaStream(t *testing.T) { testUplinkStreamRoundTrip[float32](t) }
 
-// testUplinkStreamRoundTrip is the streaming round trip at width F.
+// testUplinkStreamRoundTrip is the any-order stream round trip at
+// width F.
 func testUplinkStreamRoundTrip[F linalg.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	files := []int{2, 7, 19}
 	grads := reportOf[F](rng, 3, 50)
 	var enc UplinkEncoderOf[F]
-	var dec UplinkDecoderOf[F]
-	var f GradFrameOf[F]
-	sawDelta := false
+	var reports [][][]F
+	var frames [][]byte
 	for round := 0; round < 6; round++ {
 		frame, mode, rawSize, err := enc.Encode(nil, 4, files, grads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if round == 0 && mode != UplinkRaw {
-			t.Fatalf("first frame mode %d, want raw", mode)
+		if mode != UplinkRaw || len(frame) != rawSize {
+			t.Fatalf("round %d: mode %d, %d bytes; want raw at %d", round, mode, len(frame), rawSize)
 		}
-		if mode == UplinkDelta {
-			sawDelta = true
-			if len(frame) >= rawSize {
-				t.Fatalf("round %d: delta frame %d bytes, raw would be %d", round, len(frame), rawSize)
-			}
-		}
-		if gotMode := decodeOne(t, &dec, frame, &f); gotMode != mode {
-			t.Fatalf("round %d: decoder saw mode %d, encoder sent %d", round, gotMode, mode)
-		}
-		checkReport(t, &f, 4, files, grads)
+		reports = append(reports, grads)
+		frames = append(frames, frame)
 		grads = perturbReport(rng, grads)
 	}
-	if !sawDelta {
-		t.Error("correlated stream never chose a delta frame")
+	var dec UplinkDecoderOf[F]
+	var f GradFrameOf[F]
+	for i := len(frames) - 1; i >= 0; i-- {
+		if mode := decodeOne(t, &dec, frames[i], &f); mode != UplinkRaw {
+			t.Fatalf("frame %d: decoder saw mode %d", i, mode)
+		}
+		checkReport(t, &f, 4, files, reports[i])
 	}
 }
 
-// TestUplinkSelfSelectsRaw: when consecutive reports are fully
-// decorrelated (different signs and exponents everywhere), the delta
-// encoding is larger than raw and the encoder must fall back.
+// TestUplinkSelfSelectsRaw: the zero-value tier is raw, so a zero
+// encoder ships raw frames whatever the reports look like — correlated
+// or fully decorrelated — and a zero decoder takes them.
 func TestUplinkSelfSelectsRaw(t *testing.T) {
+	var zero UplinkTier
+	if zero != TierRaw {
+		t.Fatalf("zero tier is %s, want raw", zero)
+	}
 	files := []int{0}
 	a := [][]float64{make([]float64, 16)}
 	b := [][]float64{make([]float64, 16)}
@@ -122,103 +124,85 @@ func TestUplinkSelfSelectsRaw(t *testing.T) {
 	var enc UplinkEncoder
 	var dec UplinkDecoder
 	var f GradFrame
-	frame, _, _, err := enc.Encode(nil, 0, files, a)
-	if err != nil {
-		t.Fatal(err)
+	for _, grads := range [][][]float64{a, a, b} {
+		frame, mode, rawSize, err := enc.Encode(nil, 0, files, grads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode != UplinkRaw || len(frame) != rawSize {
+			t.Fatalf("zero encoder chose mode %d at %d bytes, want raw at %d", mode, len(frame), rawSize)
+		}
+		decodeOne(t, &dec, frame, &f)
+		checkReport(t, &f, 0, files, grads)
 	}
-	decodeOne(t, &dec, frame, &f)
-	frame, mode, rawSize, err := enc.Encode(nil, 0, files, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != UplinkRaw {
-		t.Fatalf("decorrelated report chose mode %d, want raw fallback", mode)
-	}
-	if len(frame) != rawSize {
-		t.Fatalf("raw frame %d bytes, rawSize says %d", len(frame), rawSize)
-	}
-	decodeOne(t, &dec, frame, &f)
-	checkReport(t, &f, 0, files, b)
 }
 
-// TestUplinkNoDelta: the raw tier forces raw frames and drops the
-// delta base, so switching to the delta tier mid-stream restarts like
-// a fresh connection — one raw frame rebuilds the base, then deltas
-// resume.
+// TestUplinkNoDelta: encoding is a pure function of the report and
+// the tier — the same report encodes to the same bytes every time, and
+// switching tiers mid-stream needs no reset: the next frame is simply
+// in the new tier.
 func TestUplinkNoDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	files := []int{1, 2}
 	grads := report(rng, 2, 40)
-	enc := UplinkEncoder{Tier: TierRaw}
-	var dec UplinkDecoder
-	var f GradFrame
-	for round := 0; round < 3; round++ {
-		frame, mode, _, err := enc.Encode(nil, 1, files, grads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode != UplinkRaw {
-			t.Fatalf("round %d: raw-tier encoder chose mode %d", round, mode)
-		}
-		decodeOne(t, &dec, frame, &f)
-		grads = perturbReport(rng, grads)
+	var enc UplinkEncoder
+	first, _, _, err := enc.Encode(nil, 1, files, grads)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Switch to the delta tier: no base is held, so the first
-	// post-switch frame is raw (rebuilding the base) and the one after
-	// it deltas.
-	enc.Tier = TierDelta
-	for i, want := range []int{UplinkRaw, UplinkDelta} {
+	for i, tier := range []UplinkTier{TierInt8, TierRaw, TierSign, TierRaw} {
+		enc.Tier = tier
 		frame, mode, _, err := enc.Encode(nil, 1, files, grads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode != want {
-			t.Fatalf("post-flip frame %d mode %d, want %d", i, mode, want)
+		if mode != tier.frameMode() {
+			t.Fatalf("switch %d to %s: mode %d", i, tier, mode)
 		}
+		dec := UplinkDecoder{Tier: tier}
+		var f GradFrame
 		decodeOne(t, &dec, frame, &f)
-		checkReport(t, &f, 1, files, grads)
-		grads = perturbReport(rng, grads)
+		checkReport(t, &f, 1, files, quantizeReport(tier, grads))
+		if tier == TierRaw && !bytes.Equal(frame, first) {
+			t.Fatalf("switch %d: raw re-encode of the same report differs", i)
+		}
 	}
 }
 
-// TestUplinkDecoderNoDelta: a raw-tier decoder holds no base — raw
-// frames decode without the per-report base copy, and a delta frame
-// arriving anyway (a buggy or hostile worker on a raw-only stream) is
-// rejected instead of being applied against a stale vector.
+// TestUplinkDecoderNoDelta: mode 2, the XOR-delta frame of protocols
+// v3–v7, is rejected by every tier's decoder, and a raw decoder takes
+// raw frames with no earlier report.
 func TestUplinkDecoderNoDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	files := []int{1, 2}
 	grads := report(rng, 2, 40)
 	var enc UplinkEncoder
-	dec := UplinkDecoder{Tier: TierRaw}
+	raw, _, _, err := enc.Encode(nil, 1, files, grads)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var f GradFrame
-	raw, mode, _, err := enc.Encode(nil, 1, files, grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != UplinkRaw {
-		t.Fatalf("first frame mode %d, want raw", mode)
-	}
-	decodeOne(t, &dec, raw, &f)
+	decodeOne(t, &UplinkDecoder{}, raw, &f)
 	checkReport(t, &f, 1, files, grads)
-	delta, mode, _, err := enc.Encode(nil, 1, files, perturbReport(rng, grads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != UplinkDelta {
-		t.Fatalf("second frame mode %d, want delta", mode)
-	}
-	if _, _, err := dec.Decode(delta, &f); err == nil {
-		t.Error("raw-tier decoder accepted a delta frame")
+	for _, tier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
+		dec := UplinkDecoder{Tier: tier}
+		if _, _, err := dec.Decode(formerDeltaFrame, &f); err == nil {
+			t.Errorf("%s decoder accepted a mode-2 frame", tier)
+		}
 	}
 }
 
+// formerDeltaFrame is a well-formed protocol-v7 XOR-delta uplink frame
+// (mode 2: worker 1, files {2, 9}, d = 3, every XOR zero), which no
+// decoder accepts since v8.
+var formerDeltaFrame = []byte{2, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0}
+
 // TestUplinkSpecialValues: NaN payloads, infinities, and signed zeros
-// survive the delta round-trip bit-for-bit.
+// survive the raw round trip bit-for-bit.
 func TestUplinkSpecialValues(t *testing.T) {
 	files := []int{3}
 	a := [][]float64{{0, math.Copysign(0, -1), 1, math.Inf(1), math.NaN(), 2}}
-	b := [][]float64{{math.Copysign(0, -1), 0, math.NaN(), 1, math.Inf(-1), 2}}
+	b := [][]float64{{math.Copysign(0, -1), 0, math.Float64frombits(0x7FF8_0000_DEAD_BEEF), 1, math.Inf(-1), 2}}
 	var enc UplinkEncoder
 	var dec UplinkDecoder
 	var f GradFrame
@@ -232,9 +216,9 @@ func TestUplinkSpecialValues(t *testing.T) {
 	}
 }
 
-// TestUplinkDecoderRejects: no-base deltas, base mismatches, unknown
-// modes, truncation, and non-canonical lengths are all errors, and a
-// failed decode leaves the base untouched.
+// TestUplinkDecoderRejects: empty frames, unknown and former modes,
+// truncation, and corrupt counts are all errors, and a failed decode
+// leaves nothing behind — the next good frame decodes exactly.
 func TestUplinkDecoderRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	files := []int{1, 4}
@@ -244,48 +228,26 @@ func TestUplinkDecoderRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := perturbReport(rng, grads)
-	delta, mode, _, err := enc.Encode(nil, 3, files, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != UplinkDelta {
-		t.Fatalf("second frame mode %d, want delta", mode)
-	}
-
 	var f GradFrame
-	fresh := &UplinkDecoder{}
-	if _, _, err := fresh.Decode(delta, &f); err == nil {
-		t.Error("delta with no base accepted")
-	}
-
-	based := &UplinkDecoder{}
-	if _, _, err := based.Decode(raw, &f); err != nil {
-		t.Fatal(err)
-	}
+	var dec UplinkDecoder
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad mode":     {9, 0, 0},
-		"truncated":    delta[:len(delta)-1],
-		"wrong file":   func() []byte { b := slices.Clone(delta); b[uplinkDeltaHeader]++; return b }(),
-		"wrong counts": func() []byte { b := slices.Clone(delta); b[5] = 7; return b }(),
+		"former delta": formerDeltaFrame,
+		"truncated":    raw[:len(raw)-1],
+		"wrong counts": func() []byte { b := slices.Clone(raw); b[9] = 7; return b }(),
 	}
 	for name, frame := range cases {
-		if _, _, err := based.Decode(frame, &f); err == nil {
+		if _, _, err := dec.Decode(frame, &f); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// The failed decodes must not have moved the base: the true delta
-	// still applies and reproduces the second report exactly.
-	if _, _, err := based.Decode(delta, &f); err != nil {
-		t.Fatalf("base moved by a rejected frame: %v", err)
-	}
-	checkReport(t, &f, 3, files, next)
+	decodeOne(t, &dec, raw, &f)
+	checkReport(t, &f, 3, files, grads)
 }
 
 // FuzzUplinkRoundTrip builds two reports from fuzz bits, streams them
-// through an encoder/decoder pair, and requires bit-exact recovery
-// regardless of which mode the encoder selected.
+// through a raw encoder/decoder pair, and requires bit-exact recovery.
 func FuzzUplinkRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []byte{10, 9, 8, 7, 6})
 	f.Add([]byte{}, []byte{0xFF})
@@ -337,68 +299,47 @@ func FuzzUplinkRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeUplink feeds arbitrary bytes to a lossless-tier decoder
-// (delta, or raw when the tier byte is odd) holding a known base:
-// decoding must never panic, a raw-tier decoder accepts only raw
-// frames, and any accepted frame must be canonical — re-encoding the
-// decoded report against the original base reproduces exactly the
-// consumed bytes. The lossy tiers have their own targets.
+// FuzzDecodeUplink feeds arbitrary bytes to the decoder of the tier the
+// tier byte selects (raw, sign, or int8, modulo 3): decoding must never
+// panic, a decoder accepts only its own tier's mode — mode 2, the
+// former XOR-delta frame, never — and an accepted raw frame must be
+// canonical, re-encoding to exactly the consumed bytes. The lossy
+// tiers' canonical forms have their own targets.
 func FuzzDecodeUplink(f *testing.F)   { fuzzDecodeUplink[float64](f) }
 func FuzzDecodeUplink32(f *testing.F) { fuzzDecodeUplink[float32](f) }
 
 // fuzzDecodeUplink is the uplink decode fuzz body at width F.
 func fuzzDecodeUplink[F linalg.Float](f *testing.F) {
-	baseGrads := [][]F{{1, -2, 0.5}, {3, 0, -0.25}}
-	baseFiles := []int{2, 9}
+	grads := [][]F{{1, -2, 0.5}, {3, 0, -0.25}}
+	files := []int{2, 9}
 	var seedEnc UplinkEncoderOf[F]
-	seedRaw, _, _, _ := seedEnc.Encode(nil, 1, baseFiles, baseGrads)
-	seedDelta, _, _, _ := seedEnc.Encode(nil, 1, baseFiles,
-		[][]F{{1.0001, -2, 0.5}, {3, 0.5, -0.25}})
+	seedRaw, _, _, _ := seedEnc.Encode(nil, 1, files, grads)
+	seedEnc.Tier = TierSign
+	seedSign, _, _, _ := seedEnc.Encode(nil, 1, files, grads)
 	f.Add(seedRaw, uint8(0))
-	f.Add(seedDelta, uint8(0))
-	f.Add([]byte{UplinkDelta, 1, 0, 0, 0, 2, 0, 0, 0}, uint8(0))
+	f.Add(seedSign, uint8(1))
+	f.Add([]byte{2, 1, 0, 0, 0, 2, 0, 0, 0}, uint8(0))
 	f.Add(seedRaw, uint8(1))
+	for tier := uint8(0); tier < 3; tier++ {
+		f.Add(formerDeltaFrame, tier)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, tierByte uint8) {
-		tier := TierDelta
-		if tierByte%2 == 1 {
-			tier = TierRaw
-		}
-		// Install the known base in both directions.
-		var enc UplinkEncoderOf[F]
+		tier := UplinkTier(tierByte % 3)
 		dec := UplinkDecoderOf[F]{Tier: tier}
-		frame, _, _, err := enc.Encode(nil, 1, baseFiles, baseGrads)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var fr GradFrameOf[F]
-		if _, _, err := dec.Decode(frame, &fr); err != nil {
-			t.Fatal(err)
-		}
 		mode, consumed, err := dec.Decode(data, &fr)
 		if err != nil {
 			return
 		}
-		if tier == TierRaw && mode != UplinkRaw {
-			t.Fatalf("raw-tier decoder accepted mode %d", mode)
+		if data[0] == 2 || mode != tier.frameMode() {
+			t.Fatalf("%s decoder accepted mode %d", tier, data[0])
 		}
-		var re []byte
-		if mode == UplinkRaw {
-			re = append(re, UplinkRaw)
-			re, err = AppendGradFrame(re, fr.Worker, fr.Files, fr.Grads)
-			if err != nil {
-				t.Fatalf("accepted raw frame fails to re-encode: %v", err)
-			}
-		} else {
-			// Rebuild an encoder holding the original base: the accepted
-			// delta must re-encode from it byte-for-byte.
-			var reEnc UplinkEncoderOf[F]
-			if _, _, _, err := reEnc.Encode(nil, fr.Worker, baseFiles, baseGrads); err != nil {
-				t.Fatal(err)
-			}
-			re, err = reEnc.appendDelta(nil, fr.Worker, fr.Files, fr.Grads)
-			if err != nil {
-				t.Fatalf("accepted delta frame fails to re-encode: %v", err)
-			}
+		if mode != UplinkRaw {
+			return
+		}
+		re, err := AppendGradFrame([]byte{UplinkRaw}, fr.Worker, fr.Files, fr.Grads)
+		if err != nil {
+			t.Fatalf("accepted raw frame fails to re-encode: %v", err)
 		}
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encode differs from consumed bytes:\n got %x\nwant %x", re, data[:consumed])
